@@ -27,7 +27,7 @@
 //! Two guarantees make the module trustworthy rather than merely
 //! plausible:
 //!
-//! * **Lossless input only** — a trace whose sink dropped records
+//! * **Lossless input only** — a trace whose producer lost records
 //!   ([`TraceData::dropped_records`] > 0) is rejected by
 //!   [`check_lossless`]: derived counts from a lossy trace would
 //!   silently undercount.
@@ -171,8 +171,8 @@ pub struct TraceData {
     pub bus_markers: Vec<BusMarkEv>,
     /// Context-switch markers (`"{pe}:switch"` tracks).
     pub switch_markers: u64,
-    /// Records the producing sink discarded; nonzero means this trace is
-    /// lossy and [`check_lossless`] rejects it.
+    /// Records the producer lost; nonzero means this trace is lossy and
+    /// [`check_lossless`] rejects it.
     pub dropped_records: u64,
     /// Latest event time seen (the trace horizon).
     pub end: SimTime,
@@ -180,8 +180,8 @@ pub struct TraceData {
 
 impl TraceData {
     /// Ingests in-memory records (the `--analyze-out` road).
-    /// `dropped_records` is the producing sink's drop count
-    /// ([`sldl_sim::TraceHandle::dropped_records`]).
+    /// `dropped_records` is the producer's loss count (0 for a
+    /// [`sldl_sim::TraceHandle`] snapshot, which is always complete).
     #[must_use]
     pub fn from_records(records: &[Record], dropped_records: u64) -> TraceData {
         let mut data = TraceData {
@@ -1268,7 +1268,7 @@ impl Analysis {
         if self.dropped_records > 0 {
             let _ = writeln!(
                 md,
-                "> **warning: lossy trace** — the sink dropped {} records; \
+                "> **warning: lossy trace** — the producer dropped {} records; \
                  every derived count below undercounts.\n",
                 self.dropped_records
             );
@@ -1487,7 +1487,7 @@ impl core::fmt::Display for ConsistencyError {
 
 impl std::error::Error for ConsistencyError {}
 
-/// Rejects lossy traces: derived counts from a trace whose sink dropped
+/// Rejects lossy traces: derived counts from a trace whose producer lost
 /// records would silently undercount.
 ///
 /// # Errors

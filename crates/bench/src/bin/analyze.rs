@@ -24,10 +24,10 @@
 //!   `diff` and summarized on stdout.
 //! * `--quiet` — suppress the stdout summary.
 //!
-//! The analyzer refuses **lossy traces** (the exporting sink dropped
-//! records, recorded in the trace's `otherData.dropped_records`): every
-//! derived count from such a trace would silently undercount. Re-export
-//! with a larger ring (`SLDL_TRACE_CAP`) instead.
+//! The analyzer refuses **lossy traces** (the producer lost records,
+//! recorded in the trace's `otherData.dropped_records` > 0): every derived
+//! count from such a trace would silently undercount. Traces exported by
+//! this repository are always complete.
 //!
 //! Exit codes: 0 ok, 1 analysis refused (lossy/malformed trace), 2 usage.
 
@@ -100,8 +100,7 @@ fn load_trace(path: &str) -> Result<TraceData, String> {
     check_lossless(&data).map_err(|e| {
         format!(
             "{path}: refusing to analyze a lossy trace ({}); every derived \
-             count would undercount — re-export with a larger trace ring \
-             (SLDL_TRACE_CAP)",
+             count would undercount — re-export it without dropping records",
             e.trace_value
         )
     })?;

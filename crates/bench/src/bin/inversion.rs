@@ -45,8 +45,6 @@ struct RunResult {
     h_completion_us: u64,
     /// Trace records (empty unless `traced`).
     records: Vec<Record>,
-    /// Records the sink dropped during a traced run.
-    dropped_records: u64,
 }
 
 /// Runs the H/M/L scenario under `policy` with M working `medium_work_us`.
@@ -105,7 +103,6 @@ fn run_scenario(policy: InheritancePolicy, medium_work_us: u64, traced: bool) ->
     RunResult {
         h_completion_us,
         records: trace.as_ref().map(|t| t.snapshot()).unwrap_or_default(),
-        dropped_records: trace.as_ref().map_or(0, |t| t.dropped_records()),
     }
 }
 
@@ -211,11 +208,7 @@ fn main() {
         let worst = *MEDIUM_WORK_US.last().expect("nonempty sweep");
         let traced = run_scenario(InheritancePolicy::None, worst, true);
         if let Some(path) = &args.trace_out {
-            match bench::trace::write_chrome_trace_with_meta(
-                path,
-                &traced.records,
-                traced.dropped_records,
-            ) {
+            match bench::trace::write_chrome_trace(path, &traced.records) {
                 Ok(n) => {
                     if !args.quiet {
                         println!(
@@ -231,12 +224,7 @@ fn main() {
             }
         }
         if let Some(path) = &args.analyze_out {
-            let data =
-                bench::analyze::TraceData::from_records(&traced.records, traced.dropped_records);
-            if let Err(e) = bench::analyze::check_lossless(&data) {
-                eprintln!("error: traced run was lossy ({e}); raise SLDL_TRACE_CAP");
-                std::process::exit(1);
-            }
+            let data = bench::analyze::TraceData::from_records(&traced.records, 0);
             let analysis = bench::analyze::Analysis::from_trace(&data);
             match analysis.to_json().write_to(path) {
                 Ok(()) => {
@@ -277,7 +265,7 @@ mod tests {
         // The analyzer sees the no-inheritance run as unbounded inversion
         // (M interferes while H waits) and the inheritance run as bounded.
         let traced = run_scenario(InheritancePolicy::None, 2_000, true);
-        let data = bench::analyze::TraceData::from_records(&traced.records, traced.dropped_records);
+        let data = bench::analyze::TraceData::from_records(&traced.records, 0);
         let analysis = bench::analyze::Analysis::from_trace(&data);
         let h_waits: Vec<_> = analysis
             .blocking
@@ -291,7 +279,7 @@ mod tests {
         );
 
         let traced = run_scenario(InheritancePolicy::Inherit, 2_000, true);
-        let data = bench::analyze::TraceData::from_records(&traced.records, traced.dropped_records);
+        let data = bench::analyze::TraceData::from_records(&traced.records, 0);
         let analysis = bench::analyze::Analysis::from_trace(&data);
         assert!(
             analysis

@@ -396,8 +396,8 @@ impl SweepApp {
     }
 
     /// Guards every point with a per-point wall-clock watchdog
-    /// ([`crate::farm::run_sweep_guarded`]) — for sweeps whose points can
-    /// hang under injected faults.
+    /// ([`crate::farm::run_sweep_guarded_cached`]) — for sweeps whose
+    /// points can hang under injected faults.
     #[must_use]
     pub fn watchdog(mut self, timeout: Duration) -> Self {
         self.watchdog = Some(timeout);

@@ -38,7 +38,7 @@
 //! Exploration sweeps intentionally visit hostile corners of the design
 //! space (chaos plans, fault plans, adversarial seeds), so a single
 //! panicking or hanging point must not abort the other thousands. Every
-//! point runs under `catch_unwind`; [`run_sweep_guarded`] additionally
+//! point runs under `catch_unwind`; [`run_sweep_guarded_cached`] additionally
 //! runs each point on a disposable thread with a wall-clock watchdog.
 //! Failed points come back as [`PointResult::Degraded`] carrying the
 //! panic message (or the overtime verdict), the point's seed and its
@@ -54,11 +54,6 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sldl_sim::SmallRng;
-
-/// Default per-point wall-clock budget of [`run_sweep_guarded`]: generous
-/// enough for any legitimate sweep point in this workspace, small enough
-/// that a hung kernel is quarantined rather than stalling CI forever.
-pub const DEFAULT_POINT_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// Derives the deterministic seed of sweep point `index` from the sweep's
 /// base seed, via SplitMix64 stream splitting (fork + one draw). Distinct
@@ -176,7 +171,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Cache hooks for the farm's cache-aware sweep path
+/// Cache hooks for the farm's cache-aware sweep entry points
 /// ([`run_sweep_cached`] / [`run_sweep_guarded_cached`]).
 ///
 /// The farm stays agnostic of what the cache stores or how keys are
@@ -224,7 +219,7 @@ impl<P, R> Copy for CacheHooks<'_, P, R> {}
 /// [`PointResult::Degraded`] instead of aborting the sweep; the remaining
 /// points run to completion and stay byte-identical to a sweep without
 /// the bad point's output. Points that can *hang* (chaos/fault torture)
-/// should go through [`run_sweep_guarded`], which adds a wall-clock
+/// should go through [`run_sweep_guarded_cached`], which adds a wall-clock
 /// watchdog.
 pub fn run_sweep<P, R, F>(base_seed: u64, jobs: usize, points: &[P], f: F) -> Vec<PointResult<R>>
 where
@@ -254,6 +249,30 @@ where
     R: Send,
     F: Fn(PointCtx, &P) -> R + Sync,
 {
+    sweep_loop(base_seed, jobs, points, cache, |ctx, point| {
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, point)))
+            .map_err(|payload| (DegradedKind::Panicked, panic_message(payload.as_ref())))
+    })
+}
+
+/// The farm's one worker loop, shared by every sweep entry point: `jobs`
+/// workers claim point indices from an atomic counter, answer each point
+/// from the cache or by `run_point`, offer fresh completed results to the
+/// cache, and the outcomes merge back by index. `run_point` decides how a
+/// single point runs (inline or under a watchdog) and reports a failure as
+/// the quarantine kind plus its message.
+fn sweep_loop<P, R, G>(
+    base_seed: u64,
+    jobs: usize,
+    points: &[P],
+    cache: Option<CacheHooks<'_, P, R>>,
+    run_point: G,
+) -> Vec<PointResult<R>>
+where
+    P: Sync,
+    R: Send,
+    G: Fn(PointCtx, &P) -> Result<R, (DegradedKind, String)> + Sync,
+{
     let jobs = jobs.clamp(1, points.len().max(1));
     // Pre-warm the process-thread pool so even the first sweep points run
     // their simulated processes on recycled threads. `jobs` is a cheap
@@ -268,7 +287,7 @@ where
         let workers: Vec<_> = (0..jobs)
             .map(|_| {
                 let next = &next;
-                let f = &f;
+                let run_point = &run_point;
                 scope.spawn(move || {
                     let mut mine: Vec<(usize, PointResult<R>)> = Vec::new();
                     loop {
@@ -277,29 +296,27 @@ where
                         if index >= points.len() {
                             break;
                         }
+                        let point = &points[index];
                         let ctx = PointCtx {
                             index,
                             seed: derive_seed(base_seed, index as u64),
                         };
-                        if let Some(r) = cache.and_then(|hooks| (hooks.lookup)(ctx, &points[index]))
-                        {
+                        if let Some(r) = cache.and_then(|hooks| (hooks.lookup)(ctx, point)) {
                             mine.push((index, PointResult::Completed(r)));
                             continue;
                         }
-                        let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(ctx, &points[index])
-                        })) {
+                        let outcome = match run_point(ctx, point) {
                             Ok(r) => {
                                 if let Some(hooks) = cache {
-                                    (hooks.insert)(ctx, &points[index], &r);
+                                    (hooks.insert)(ctx, point, &r);
                                 }
                                 PointResult::Completed(r)
                             }
-                            Err(payload) => PointResult::Degraded(DegradedPoint {
+                            Err((kind, message)) => PointResult::Degraded(DegradedPoint {
                                 index,
                                 seed: ctx.seed,
-                                kind: DegradedKind::Panicked,
-                                message: panic_message(payload.as_ref()),
+                                kind,
+                                message,
                             }),
                         };
                         mine.push((index, outcome));
@@ -364,34 +381,18 @@ where
     }
 }
 
-/// [`run_sweep`] with a per-point wall-clock watchdog: each point runs on
-/// a disposable thread via [`run_guarded`], so a point that *hangs* (host
-/// deadlock, livelock, pathological chaos schedule) is quarantined as
-/// [`DegradedKind::Overtime`] after `watchdog` instead of stalling the
-/// sweep. The hung thread is abandoned; use this for torture sweeps, not
-/// for hot-loop microbenches (the per-point thread costs ~50 µs).
+/// [`run_sweep_cached`] with a per-point wall-clock watchdog: each point
+/// runs on a disposable thread via [`run_guarded`], so a point that
+/// *hangs* (host deadlock, livelock, pathological chaos schedule) is
+/// quarantined as [`DegradedKind::Overtime`] after `watchdog` instead of
+/// stalling the sweep. The hung thread is abandoned; use this for torture
+/// sweeps, not for hot-loop microbenches (the per-point thread costs
+/// ~50 µs). A cache hit bypasses the disposable thread entirely — an index
+/// lookup cannot hang — so warm torture sweeps skip both the simulation
+/// and the per-point thread cost.
 ///
 /// The extra `'static`/`Clone` bounds are what allow a point to outlive
 /// the farm's scope when abandoned.
-pub fn run_sweep_guarded<P, R, F>(
-    base_seed: u64,
-    jobs: usize,
-    watchdog: Duration,
-    points: &[P],
-    f: F,
-) -> Vec<PointResult<R>>
-where
-    P: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(PointCtx, &P) -> R + Send + Sync + 'static,
-{
-    run_sweep_guarded_cached(base_seed, jobs, watchdog, points, None, f)
-}
-
-/// [`run_sweep_guarded`] with an optional persistent-result cache (see
-/// [`run_sweep_cached`]). A cache hit bypasses the disposable watchdog
-/// thread entirely — an index lookup cannot hang — so warm torture sweeps
-/// skip both the simulation and the per-point thread cost.
 pub fn run_sweep_guarded_cached<P, R, F>(
     base_seed: u64,
     jobs: usize,
@@ -405,81 +406,19 @@ where
     R: Send + 'static,
     F: Fn(PointCtx, &P) -> R + Send + Sync + 'static,
 {
-    let jobs = jobs.clamp(1, points.len().max(1));
-    sldl_sim::pool::prewarm(jobs);
-    let next = AtomicUsize::new(0);
     let f = Arc::new(f);
-    let mut slots: Vec<Option<PointResult<R>>> =
-        std::iter::repeat_with(|| None).take(points.len()).collect();
-
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, PointResult<R>)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= points.len() {
-                            break;
-                        }
-                        let ctx = PointCtx {
-                            index,
-                            seed: derive_seed(base_seed, index as u64),
-                        };
-                        if let Some(r) = cache.and_then(|hooks| (hooks.lookup)(ctx, &points[index]))
-                        {
-                            mine.push((index, PointResult::Completed(r)));
-                            continue;
-                        }
-                        let point = points[index].clone();
-                        let f = Arc::clone(f);
-                        let outcome = match run_guarded(watchdog, move || f(ctx, &point)) {
-                            Guarded::Finished(r) => {
-                                if let Some(hooks) = cache {
-                                    (hooks.insert)(ctx, &points[index], &r);
-                                }
-                                PointResult::Completed(r)
-                            }
-                            Guarded::Panicked(message) => PointResult::Degraded(DegradedPoint {
-                                index,
-                                seed: ctx.seed,
-                                kind: DegradedKind::Panicked,
-                                message,
-                            }),
-                            Guarded::Overtime => PointResult::Degraded(DegradedPoint {
-                                index,
-                                seed: ctx.seed,
-                                kind: DegradedKind::Overtime,
-                                message: format!(
-                                    "exceeded the {} ms point watchdog",
-                                    watchdog.as_millis()
-                                ),
-                            }),
-                        };
-                        mine.push((index, outcome));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok(results) => {
-                    for (index, r) in results {
-                        slots[index] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    sweep_loop(base_seed, jobs, points, cache, |ctx, point| {
+        let point = point.clone();
+        let f = Arc::clone(&f);
+        match run_guarded(watchdog, move || f(ctx, &point)) {
+            Guarded::Finished(r) => Ok(r),
+            Guarded::Panicked(message) => Err((DegradedKind::Panicked, message)),
+            Guarded::Overtime => Err((
+                DegradedKind::Overtime,
+                format!("exceeded the {} ms point watchdog", watchdog.as_millis()),
+            )),
         }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index claimed exactly once"))
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -542,18 +481,29 @@ mod tests {
     #[test]
     fn panicking_points_are_quarantined_not_fatal() {
         let points = [0u8, 1, 2, 3];
-        for jobs in [1, 2, 4] {
-            let out = run_sweep(11, jobs, &points, |_, p| {
-                assert!(*p != 2, "boom at point {p}");
-                *p * 10
-            });
-            let (completed, degraded) = partition(out);
-            assert_eq!(completed, vec![0, 10, 30], "jobs={jobs}");
-            assert_eq!(degraded.len(), 1);
-            assert_eq!(degraded[0].index, 2);
-            assert_eq!(degraded[0].seed, derive_seed(11, 2));
-            assert_eq!(degraded[0].kind, DegradedKind::Panicked);
-            assert!(degraded[0].message.contains("boom at point 2"));
+        let body = |_: PointCtx, p: &u8| {
+            assert!(*p != 2, "boom at point {p}");
+            *p * 10
+        };
+        // Both per-point strategies share the farm's worker loop; check the
+        // quarantine on each.
+        for (strategy, watchdog) in [
+            ("inline", None),
+            ("watchdog", Some(Duration::from_secs(30))),
+        ] {
+            for jobs in [1, 2, 4] {
+                let out = match watchdog {
+                    None => run_sweep(11, jobs, &points, body),
+                    Some(budget) => run_sweep_guarded_cached(11, jobs, budget, &points, None, body),
+                };
+                let (completed, degraded) = partition(out);
+                assert_eq!(completed, vec![0, 10, 30], "{strategy} jobs={jobs}");
+                assert_eq!(degraded.len(), 1, "{strategy} jobs={jobs}");
+                assert_eq!(degraded[0].index, 2);
+                assert_eq!(degraded[0].seed, derive_seed(11, 2));
+                assert_eq!(degraded[0].kind, DegradedKind::Panicked);
+                assert!(degraded[0].message.contains("boom at point 2"));
+            }
         }
     }
 
@@ -562,12 +512,19 @@ mod tests {
         // Point 1 sleeps far beyond the watchdog; its thread is abandoned
         // (the sleep is bounded, so the process still exits cleanly).
         let points: Vec<u64> = (0..4).collect();
-        let out = run_sweep_guarded(3, 2, Duration::from_millis(40), &points, |_, p: &u64| {
-            if *p == 1 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            *p + 100
-        });
+        let out = run_sweep_guarded_cached(
+            3,
+            2,
+            Duration::from_millis(40),
+            &points,
+            None,
+            |_, p: &u64| {
+                if *p == 1 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+                *p + 100
+            },
+        );
         let (completed, degraded) = partition(out);
         assert_eq!(completed, vec![100, 102, 103]);
         assert_eq!(degraded.len(), 1);

@@ -1,4 +1,4 @@
-//! Shared helpers for the table/figure reproduction binaries and benches.
+//! Shared helpers for the table/figure reproduction binaries.
 //!
 //! Beyond the formatting/table utilities below, this crate hosts the
 //! *experiment farm* (see `docs/ARCHITECTURE.md`):
@@ -29,7 +29,7 @@ pub mod stats;
 pub mod trace;
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Formats a duration as milliseconds with two decimals.
 #[must_use]
@@ -100,96 +100,6 @@ pub fn model_loc() -> (usize, usize, usize) {
     let arch = sim + voc + core;
     let impl_ = sim + voc + core + iss;
     (unsched, arch, impl_)
-}
-
-/// Minimal wall-clock micro-benchmark group (self-contained; no external
-/// harness): each [`bench_function`](BenchGroup::bench_function) runs the
-/// closure once for warm-up, then `sample_size` timed iterations, and
-/// [`finish`](BenchGroup::finish) prints min/p50/mean/max per benchmark
-/// together with host-timing context (sample count per function, total
-/// timed wall clock of the group) so overhead numbers (ablation A3) are
-/// comparable across runs and hosts.
-///
-/// Set the `BENCH_SAMPLES` environment variable to override every group's
-/// sample count (e.g. `BENCH_SAMPLES=3` for a smoke run).
-#[derive(Debug)]
-pub struct BenchGroup {
-    name: String,
-    sample_size: usize,
-    results: Vec<(String, Vec<Duration>)>,
-    created: Instant,
-}
-
-impl BenchGroup {
-    /// Creates a group titled `name`.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        let sample_size = std::env::var("BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
-        BenchGroup {
-            name: name.into(),
-            sample_size,
-            results: Vec::new(),
-            created: Instant::now(),
-        }
-    }
-
-    /// Sets the number of timed iterations per benchmark (default 10;
-    /// `BENCH_SAMPLES` overrides both).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        if std::env::var("BENCH_SAMPLES").is_err() {
-            self.sample_size = n.max(1);
-        }
-        self
-    }
-
-    /// Times `f` over the group's sample count (after one warm-up call).
-    pub fn bench_function(&mut self, id: impl Into<String>, mut f: impl FnMut()) -> &mut Self {
-        f(); // warm-up
-        let mut samples = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let t0 = Instant::now();
-            f();
-            samples.push(t0.elapsed());
-        }
-        samples.sort_unstable();
-        self.results.push((id.into(), samples));
-        self
-    }
-
-    /// Prints the result table (min/p50/mean/max per function, plus
-    /// per-function sample counts and the group's total timed wall
-    /// clock).
-    pub fn finish(&self) {
-        let mut table = TextTable::new();
-        table.row(["benchmark", "n", "min", "p50", "mean", "max"]);
-        let mut timed_total = Duration::ZERO;
-        for (id, samples) in &self.results {
-            let n = samples.len();
-            let sum: Duration = samples.iter().sum();
-            timed_total += sum;
-            let mean = sum / u32::try_from(n).unwrap_or(1);
-            table.row([
-                id.clone(),
-                n.to_string(),
-                fmt_host(samples[0]),
-                fmt_host(samples[n / 2]),
-                fmt_host(mean),
-                fmt_host(samples[n - 1]),
-            ]);
-        }
-        println!(
-            "{} ({} functions, {} samples each; timed {}, elapsed {})\n{}",
-            self.name,
-            self.results.len(),
-            self.sample_size,
-            fmt_host(timed_total),
-            fmt_host(self.created.elapsed()),
-            table.render()
-        );
-    }
 }
 
 /// Simple fixed-width table printer.

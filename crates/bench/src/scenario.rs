@@ -497,7 +497,6 @@ impl ScenarioSpec {
                 o.kernel_stats = Some(report.kernel);
                 o.tasks = m.tasks;
                 if let Some(t) = &trace {
-                    o.dropped_records = t.dropped_records();
                     o.records = t.snapshot();
                 }
                 o
@@ -596,7 +595,6 @@ impl ScenarioSpec {
                 o.kernel_stats = Some(report.kernel);
                 o.tasks = m.tasks;
                 if let Some(t) = &trace {
-                    o.dropped_records = t.dropped_records();
                     o.records = t.snapshot();
                 }
                 o
@@ -1021,11 +1019,11 @@ pub struct ScenarioOutcome {
     /// set). **Not** serialized by [`to_json`](Self::to_json); exported
     /// separately via [`crate::trace::to_chrome_json`].
     pub records: Vec<Record>,
-    /// Records the trace sink discarded during the run (ring-buffer
-    /// overflow). Nonzero means [`records`](Self::records) is lossy:
-    /// trace-derived metrics would silently undercount. Exported into the
-    /// Chrome JSON metadata and checked by `bench::analyze`. **Not**
-    /// serialized by [`to_json`](Self::to_json).
+    /// Records missing from [`records`](Self::records). Always 0 for a
+    /// simulated run (the kernel's trace store is unbounded); exported into
+    /// the Chrome JSON metadata, where `bench::analyze` rejects a nonzero
+    /// count from an external producer. **Not** serialized by
+    /// [`to_json`](Self::to_json).
     pub dropped_records: u64,
     /// Host wall-clock cost of the run. **Not** part of the
     /// deterministic payload; excluded from [`to_json`](Self::to_json).

@@ -139,8 +139,8 @@ fn event(name: &str, ph: &str, pid: u32, tid: u32) -> Vec<(String, Json)> {
 
 /// Converts trace records to a Chrome-trace-event JSON document
 /// (`{"traceEvents": [...]}`) with `dropped_records: 0` metadata —
-/// shorthand for [`to_chrome_json_with_meta`] when the source sink is
-/// known to be lossless.
+/// shorthand for [`to_chrome_json_with_meta`] for a complete record set
+/// (every in-process trace is).
 #[must_use]
 pub fn to_chrome_json(records: &[Record]) -> Json {
     to_chrome_json_with_meta(records, 0)
@@ -152,11 +152,10 @@ pub fn to_chrome_json(records: &[Record]) -> Json {
 /// Spans are exported from [`segments`], so the span multiset of the JSON
 /// equals the one every existing analysis sees; markers, scheduler
 /// decisions and mutex records are exported in record order as instant
-/// events. `dropped_records` (the count of records the source sink
-/// discarded, e.g. on ring-buffer overflow) lands in the top-level
-/// `otherData` object so consumers — notably `bench::analyze` — can tell
-/// a lossless trace from a lossy one. Output bytes are a pure function of
-/// the arguments.
+/// events. `dropped_records` (the count of records the producer lost)
+/// lands in the top-level `otherData` object so consumers — notably
+/// `bench::analyze` — can tell a lossless trace from a lossy one. Output
+/// bytes are a pure function of the arguments.
 #[must_use]
 pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Json {
     let map = TrackMap::build(records);
@@ -298,21 +297,7 @@ pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Jso
 ///
 /// Propagates filesystem errors.
 pub fn write_chrome_trace(path: &Path, records: &[Record]) -> std::io::Result<usize> {
-    write_chrome_trace_with_meta(path, records, 0)
-}
-
-/// [`write_chrome_trace`] carrying a `dropped_records` count into the
-/// document metadata (see [`to_chrome_json_with_meta`]).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_chrome_trace_with_meta(
-    path: &Path,
-    records: &[Record],
-    dropped_records: u64,
-) -> std::io::Result<usize> {
-    let doc = to_chrome_json_with_meta(records, dropped_records);
+    let doc = to_chrome_json(records);
     let n = match &doc {
         Json::Obj(pairs) => pairs
             .iter()
@@ -342,7 +327,7 @@ pub fn export_scenario_trace(
     path: &Path,
 ) -> std::io::Result<usize> {
     let outcome = spec.clone().trace(true).run_seeded(seed);
-    write_chrome_trace_with_meta(path, &outcome.records, outcome.dropped_records)
+    write_chrome_trace(path, &outcome.records)
 }
 
 /// Handles a binary's `--trace-out` flag: when present, re-runs `spec`
@@ -378,22 +363,13 @@ pub fn handle_trace_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64)
 /// (the same representative point `--trace-out` exports, under the same
 /// seed) with tracing enabled, runs the [`crate::analyze`] engine over
 /// the in-memory records, and writes the `rtos-sld-analysis/1` document.
-/// A lossy traced re-run (ring overflow) is a hard error, mirroring the
-/// `analyze` bin. Exits the process with status 1 on failure.
+/// Exits the process with status 1 on failure.
 pub fn handle_analyze_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64) {
     let Some(path) = &args.analyze_out else {
         return;
     };
     let outcome = spec.clone().trace(true).run_seeded(seed);
-    let data = crate::analyze::TraceData::from_records(&outcome.records, outcome.dropped_records);
-    if let Err(e) = crate::analyze::check_lossless(&data) {
-        eprintln!(
-            "error: {}: traced re-run was lossy ({}); raise SLDL_TRACE_CAP",
-            path.display(),
-            e.trace_value
-        );
-        std::process::exit(1);
-    }
+    let data = crate::analyze::TraceData::from_records(&outcome.records, 0);
     let analysis = crate::analyze::Analysis::from_trace(&data);
     match analysis.to_json().write_to(path) {
         Ok(()) => {

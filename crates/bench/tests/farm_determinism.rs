@@ -9,7 +9,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use bench::farm::{
-    derive_seed, partition, run_sweep, run_sweep_guarded, DegradedKind, PointResult,
+    derive_seed, partition, run_sweep, run_sweep_guarded_cached, DegradedKind, PointResult,
 };
 use bench::scenario::{ScenarioSpec, Workload};
 use sldl_sim::FaultPlan;
@@ -131,11 +131,12 @@ fn hanging_points_are_quarantined_by_the_watchdog() {
     // thread exits on its own); the guarded sweep must report it as
     // Overtime while the other points complete normally.
     let points: Vec<usize> = (0..3).collect();
-    let outcomes = run_sweep_guarded(
+    let outcomes = run_sweep_guarded_cached(
         4,
         2,
         Duration::from_millis(50),
         &points,
+        None,
         |ctx, p: &usize| {
             if *p == 1 {
                 std::thread::sleep(Duration::from_millis(1500));

@@ -60,9 +60,7 @@ use crate::ids::{EventId, ProcessId};
 use crate::pool;
 use crate::sync::{Mutex, ParkCell, WaitGroup, MIN_TOKEN};
 use crate::time::SimTime;
-use crate::trace::{
-    CompactKind, KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle, TraceSink,
-};
+use crate::trace::{CompactKind, KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle};
 use crate::wheel::TimerWheel;
 
 /// A process body: runs once on its own thread with a [`ProcCtx`].
@@ -952,7 +950,7 @@ impl Default for Simulation {
 /// scenario description can carry one around (or the pieces to make one)
 /// and construct fresh, isolated simulations on demand — e.g. one per
 /// sweep point on a worker thread.
-#[derive(Default)]
+#[derive(Debug, Default)]
 #[must_use = "call `.build()` to obtain the configured Simulation"]
 pub struct SimulationBuilder {
     fault_plan: Option<FaultPlan>,
@@ -960,20 +958,6 @@ pub struct SimulationBuilder {
     invariants: Option<KernelInvariants>,
     stall_policy: Option<StallPolicy>,
     trace: Option<TraceConfig>,
-    trace_sink: Option<Box<dyn TraceSink>>,
-}
-
-impl core::fmt::Debug for SimulationBuilder {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SimulationBuilder")
-            .field("fault_plan", &self.fault_plan)
-            .field("chaos_plan", &self.chaos_plan)
-            .field("invariants", &self.invariants)
-            .field("stall_policy", &self.stall_policy)
-            .field("trace", &self.trace)
-            .field("custom_sink", &self.trace_sink.is_some())
-            .finish()
-    }
 }
 
 impl SimulationBuilder {
@@ -1009,22 +993,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Attaches a trace recorder; fetch the handle from the built
-    /// simulation via [`Simulation::trace_handle`]. The sink is chosen by
-    /// [`TraceConfig::sink`] (in-memory by default, or a bounded ring
-    /// buffer); for arbitrary sinks use
-    /// [`trace_sink`](SimulationBuilder::trace_sink).
+    /// Attaches an in-memory trace recorder; fetch the handle from the
+    /// built simulation via [`Simulation::trace_handle`].
     pub fn trace(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
-        self
-    }
-
-    /// Attaches a trace recorder over a caller-provided [`TraceSink`]
-    /// (e.g. a [`StreamSink`](crate::StreamSink) writing to a file),
-    /// overriding [`TraceConfig::sink`]. Implies tracing even without a
-    /// [`trace`](SimulationBuilder::trace) call.
-    pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace_sink = Some(sink);
         self
     }
 
@@ -1044,9 +1016,8 @@ impl SimulationBuilder {
         if let Some(policy) = self.stall_policy {
             sim.install_stall_policy(policy);
         }
-        if self.trace.is_some() || self.trace_sink.is_some() {
-            let config = self.trace.unwrap_or_default();
-            let _handle = sim.install_trace(config, self.trace_sink);
+        if let Some(config) = self.trace {
+            sim.install_trace(config);
         }
         sim
     }
@@ -1145,24 +1116,14 @@ impl Simulation {
         self.shared.state.lock().stall_policy = policy;
     }
 
-    fn install_trace(
-        &mut self,
-        config: TraceConfig,
-        sink: Option<Box<dyn TraceSink>>,
-    ) -> TraceHandle {
-        let handle = match sink {
-            Some(sink) => TraceHandle::with_sink(sink),
-            None => TraceHandle::from_config(config.sink),
-        };
+    fn install_trace(&mut self, config: TraceConfig) {
         let mut st = self.shared.state.lock();
-        st.trace = Some(handle.clone());
+        st.trace = Some(TraceHandle::new());
         st.trace_kernel = config.kernel_records;
-        handle
     }
 
     /// Returns the trace handle if tracing was configured (via
-    /// [`SimulationBuilder::trace`] or
-    /// [`SimulationBuilder::trace_sink`]).
+    /// [`SimulationBuilder::trace`]).
     #[must_use]
     pub fn trace_handle(&self) -> Option<TraceHandle> {
         self.shared.state.lock().trace.clone()

@@ -106,6 +106,6 @@ pub use rng::SmallRng;
 pub use sync::{ParkCell, WaitGroup};
 pub use time::SimTime;
 pub use trace::{
-    CompactKind, CompactRecord, DecisionReason, Interner, KernelStats, LabelId, MemorySink, Record,
-    RecordKind, RingSink, SinkConfig, StreamSink, TraceConfig, TraceHandle, TraceSink, TrackId,
+    CompactKind, CompactRecord, DecisionReason, Interner, KernelStats, LabelId, Record, RecordKind,
+    TraceConfig, TraceHandle, TrackId,
 };

@@ -9,11 +9,11 @@
 //!
 //! The pool keeps finished worker threads parked on an idle stack instead:
 //!
-//! * [`dispatch`](crate::pool internal) hands a job (one process body plus
-//!   its kernel harness) to an idle worker via its [`ParkCell`], or spawns
-//!   a new worker when the stack is empty;
+//! * the internal `dispatch` hands a job (one process body plus its kernel
+//!   harness) to an idle worker via its [`ParkCell`], or spawns a new
+//!   worker when the stack is empty;
 //! * a worker that finishes a job pushes itself back onto the idle stack
-//!   (up to [`MAX_IDLE`]) and parks until the next job;
+//!   (up to `MAX_IDLE`) and parks until the next job;
 //! * worker threads are named from an interned name table (`sim-w0`,
 //!   `sim-w1`, …), formatted **once per worker slot** — never per process
 //!   spawn — and reused verbatim when a drained slot is respawned.

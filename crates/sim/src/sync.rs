@@ -168,7 +168,7 @@ impl ParkCell {
     }
 
     /// Blocks the registered waiter until a token is deposited, consuming
-    /// and returning it. Spins briefly ([`SPIN_LIMIT`] iterations) before
+    /// and returning it. Spins briefly (`SPIN_LIMIT` iterations) before
     /// parking; spurious unparks are absorbed by re-checking the state.
     pub fn wait(&self) -> u32 {
         // Fast path: the token often lands while we spin (the partner is

@@ -1,12 +1,12 @@
 //! Simulation trace recording and analysis.
 //!
-//! A [`TraceHandle`] collects time-stamped trace records during a run and
-//! forwards them to a pluggable [`TraceSink`]. The kernel can contribute
-//! low-level scheduling records (opt-in through
-//! [`TraceConfig::kernel_records`]); models contribute semantic records —
-//! most importantly *spans* (`SpanBegin`/`SpanEnd` on a named track), which
-//! the analysis functions turn into execution segments like the simulation
-//! traces in Figure 8 of the paper.
+//! A [`TraceHandle`] collects time-stamped trace records during a run in
+//! an unbounded in-memory buffer. The kernel can contribute low-level
+//! scheduling records (opt-in through [`TraceConfig::kernel_records`]);
+//! models contribute semantic records — most importantly *spans*
+//! (`SpanBegin`/`SpanEnd` on a named track), which the analysis functions
+//! turn into execution segments like the simulation traces in Figure 8 of
+//! the paper.
 //!
 //! ## Hot path
 //!
@@ -16,20 +16,11 @@
 //! stores. [`snapshot`](TraceHandle::snapshot) resolves ids back into the
 //! string-based [`Record`] form the analysis functions consume.
 //!
-//! ## Sinks
-//!
-//! Three sinks ship with the crate:
-//!
-//! * [`MemorySink`] — unbounded in-memory buffer (the default);
-//! * [`RingSink`] — bounded ring buffer that drops the *oldest* records on
-//!   overflow and counts them in `dropped_records`, for long runs;
-//! * [`StreamSink`] — resolves each record immediately and streams it as a
-//!   CSV row to any `Write` target.
+//! Export to Chrome/Perfetto JSON lives in the bench crate
+//! (`bench::trace`).
 
-use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,7 +67,7 @@ pub enum DecisionReason {
 }
 
 impl DecisionReason {
-    /// Stable lowercase name, used in CSV and Chrome-trace output.
+    /// Stable lowercase name, used in Chrome-trace output.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -210,8 +201,7 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    /// Stable lowercase kind name (matches the CSV `kind` column, except
-    /// for `ProcessSuspended`, whose CSV kind encodes the suspend reason).
+    /// Stable lowercase kind name.
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -333,7 +323,7 @@ impl Interner {
 }
 
 /// One kind of trace record in interned, `Copy` form — the shape that moves
-/// through the hot path and sits in sink buffers.
+/// through the hot path and sits in the trace buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CompactKind {
@@ -518,212 +508,6 @@ pub fn resolve_record(rec: &CompactRecord, interner: &Interner) -> Record {
     }
 }
 
-/// Destination for trace records. Implementations receive the interned form
-/// plus the live intern table (for sinks that resolve eagerly, like
-/// [`StreamSink`]).
-pub trait TraceSink: Send {
-    /// Accepts one record.
-    fn record(&mut self, rec: CompactRecord, interner: &Interner);
-
-    /// Number of records currently retained.
-    fn len(&self) -> usize;
-
-    /// Whether no records are retained.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resolves retained records (in arrival order) to the string-based
-    /// form. Streaming sinks that retain nothing return an empty vec.
-    fn snapshot(&self, interner: &Interner) -> Vec<Record>;
-
-    /// Records discarded by the sink (overflow / write failure).
-    fn dropped_records(&self) -> u64 {
-        0
-    }
-
-    /// Flushes any buffered output.
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Unbounded in-memory sink — the default. Retains every record.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    records: Vec<CompactRecord>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, rec: CompactRecord, _interner: &Interner) {
-        self.records.push(rec);
-    }
-
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    fn snapshot(&self, interner: &Interner) -> Vec<Record> {
-        self.records
-            .iter()
-            .map(|r| resolve_record(r, interner))
-            .collect()
-    }
-}
-
-/// Bounded ring buffer: keeps the most recent `capacity` records, dropping
-/// the *oldest* on overflow (survivor order is preserved) and counting the
-/// drops. Suitable for long runs where only the tail matters.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<CompactRecord>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring sink retaining at most `capacity` records
-    /// (`capacity` ≥ 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            dropped: 0,
-        }
-    }
-
-    /// Configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: CompactRecord, _interner: &Interner) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec);
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn snapshot(&self, interner: &Interner) -> Vec<Record> {
-        self.buf
-            .iter()
-            .map(|r| resolve_record(r, interner))
-            .collect()
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// Streaming sink: resolves each record eagerly and writes it as one CSV
-/// row (same format as [`to_csv`], header included) to any `Write` target.
-/// Retains nothing, so [`snapshot`](TraceSink::snapshot) is empty. Records
-/// that fail to write are counted in `dropped_records` and the writer is
-/// abandoned after the first failure.
-pub struct StreamSink {
-    out: Option<Box<dyn Write + Send>>,
-    written: usize,
-    dropped: u64,
-    header_done: bool,
-}
-
-impl fmt::Debug for StreamSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamSink")
-            .field("written", &self.written)
-            .field("dropped", &self.dropped)
-            .finish_non_exhaustive()
-    }
-}
-
-impl StreamSink {
-    /// Creates a streaming sink over `out`.
-    #[must_use]
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: Some(out),
-            written: 0,
-            dropped: 0,
-            header_done: false,
-        }
-    }
-
-    /// Records successfully written so far.
-    #[must_use]
-    pub fn written(&self) -> usize {
-        self.written
-    }
-}
-
-impl TraceSink for StreamSink {
-    fn record(&mut self, rec: CompactRecord, interner: &Interner) {
-        let Some(out) = self.out.as_mut() else {
-            self.dropped += 1;
-            return;
-        };
-        let mut line = String::new();
-        if !self.header_done {
-            line.push_str(CSV_HEADER);
-            self.header_done = true;
-        }
-        csv_row(&mut line, &resolve_record(&rec, interner));
-        if out.write_all(line.as_bytes()).is_err() {
-            self.out = None;
-            self.dropped += 1;
-        } else {
-            self.written += 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn snapshot(&self, _interner: &Interner) -> Vec<Record> {
-        Vec::new()
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.dropped
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self.out.as_mut() {
-            Some(out) => out.flush(),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Which sink the kernel installs for a traced run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SinkConfig {
-    /// Unbounded in-memory buffer ([`MemorySink`]).
-    #[default]
-    Memory,
-    /// Bounded ring buffer ([`RingSink`]) with the given capacity.
-    Ring(usize),
-}
-
 /// Configuration for
 /// [`SimulationBuilder::trace`](crate::SimulationBuilder::trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -732,8 +516,6 @@ pub struct TraceConfig {
     /// finish/notify). Cheap since interning made records allocation-free,
     /// but still high-volume.
     pub kernel_records: bool,
-    /// Which sink to install (default: unbounded in-memory buffer).
-    pub sink: SinkConfig,
 }
 
 /// Kernel self-metrics, updated unconditionally (and allocation-free) by
@@ -767,13 +549,15 @@ pub struct KernelStats {
     pub wall_time: Duration,
 }
 
+#[derive(Default)]
 struct TraceInner {
     interner: Interner,
-    sink: Box<dyn TraceSink>,
+    records: Vec<CompactRecord>,
 }
 
-/// Shared, clonable handle to a trace sink plus its intern table.
-#[derive(Clone)]
+/// Shared, clonable handle to an in-memory trace: the records in arrival
+/// order plus their intern table.
+#[derive(Clone, Default)]
 pub struct TraceHandle {
     inner: Arc<Mutex<TraceInner>>,
 }
@@ -782,45 +566,19 @@ impl fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("TraceHandle")
-            .field("records", &inner.sink.len())
+            .field("records", &inner.records.len())
             .field("interned", &inner.interner.len())
             .finish()
     }
 }
 
-impl Default for TraceHandle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraceHandle {
-    /// Creates a handle over an unbounded in-memory sink (usually obtained
-    /// from [`Simulation::trace_handle`](crate::Simulation::trace_handle)
-    /// after configuring tracing through the builder).
+    /// Creates an empty handle (usually obtained from
+    /// [`Simulation::trace_handle`](crate::Simulation::trace_handle) after
+    /// configuring tracing through the builder).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_sink(Box::new(MemorySink::new()))
-    }
-
-    /// Creates a handle over a caller-provided sink.
-    #[must_use]
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(TraceInner {
-                interner: Interner::default(),
-                sink,
-            })),
-        }
-    }
-
-    /// Creates a handle from a [`SinkConfig`].
-    #[must_use]
-    pub fn from_config(cfg: SinkConfig) -> Self {
-        match cfg {
-            SinkConfig::Memory => Self::new(),
-            SinkConfig::Ring(cap) => Self::with_sink(Box::new(RingSink::new(cap))),
-        }
+        Self::default()
     }
 
     /// Interns a track name, returning a stable id for the handle's
@@ -838,9 +596,7 @@ impl TraceHandle {
 
     /// Appends a record in interned form — the allocation-free hot path.
     pub fn emit(&self, time: SimTime, kind: CompactKind) {
-        let mut inner = self.inner.lock();
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(CompactRecord { time, kind }, interner);
+        self.inner.lock().records.push(CompactRecord { time, kind });
     }
 
     /// Begins a span with pre-interned ids.
@@ -853,14 +609,10 @@ impl TraceHandle {
     pub fn span_begin_dyn(&self, time: SimTime, track: TrackId, label: &str) {
         let mut inner = self.inner.lock();
         let label = LabelId(inner.interner.intern(label));
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(
-            CompactRecord {
-                time,
-                kind: CompactKind::SpanBegin { track, label },
-            },
-            interner,
-        );
+        inner.records.push(CompactRecord {
+            time,
+            kind: CompactKind::SpanBegin { track, label },
+        });
     }
 
     /// Ends the open span on `track`.
@@ -897,14 +649,10 @@ impl TraceHandle {
     pub fn process_spawned(&self, time: SimTime, pid: ProcessId, name: &str) {
         let mut inner = self.inner.lock();
         let name = LabelId(inner.interner.intern(name));
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(
-            CompactRecord {
-                time,
-                kind: CompactKind::ProcessSpawned { pid, name },
-            },
-            interner,
-        );
+        inner.records.push(CompactRecord {
+            time,
+            kind: CompactKind::ProcessSpawned { pid, name },
+        });
     }
 
     /// Appends a record in resolved (string) form, interning as needed.
@@ -981,44 +729,34 @@ impl TraceHandle {
                 release: *release,
             },
         };
-        let TraceInner { interner, sink } = &mut *inner;
-        sink.record(
-            CompactRecord {
-                time,
-                kind: compact,
-            },
-            interner,
-        );
+        inner.records.push(CompactRecord {
+            time,
+            kind: compact,
+        });
     }
 
-    /// Number of records currently retained by the sink.
+    /// Number of records recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().sink.len()
+        self.inner.lock().records.len()
     }
 
-    /// Whether the sink retains no records.
+    /// Whether nothing has been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().sink.is_empty()
+        self.inner.lock().records.is_empty()
     }
 
-    /// Records the sink has discarded (ring overflow / stream failure).
-    #[must_use]
-    pub fn dropped_records(&self) -> u64 {
-        self.inner.lock().sink.dropped_records()
-    }
-
-    /// Resolves the retained records to the string-based [`Record`] form.
+    /// Resolves the records, in arrival order, to the string-based
+    /// [`Record`] form.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Record> {
         let inner = self.inner.lock();
-        inner.sink.snapshot(&inner.interner)
-    }
-
-    /// Flushes the sink's buffered output (no-op for in-memory sinks).
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.lock().sink.flush()
+        inner
+            .records
+            .iter()
+            .map(|r| resolve_record(r, &inner.interner))
+            .collect()
     }
 }
 
@@ -1148,141 +886,6 @@ pub fn overlap(a: &[Segment], b: &[Segment]) -> Duration {
     total
 }
 
-const CSV_HEADER: &str = "time_ns,kind,track,label,id\n";
-
-/// Appends a quoted CSV field, doubling embedded quotes per RFC 4180.
-fn csv_quote(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        if c == '"' {
-            out.push('"');
-        }
-        out.push(c);
-    }
-    out.push('"');
-}
-
-/// Appends one CSV row for `r` (with trailing newline).
-fn csv_row(out: &mut String, r: &Record) {
-    let t = r.time.as_nanos();
-    let (kind, track, label, id): (&str, &str, Cow<'_, str>, i64) = match &r.kind {
-        RecordKind::ProcessSpawned { pid, name } => (
-            "process_spawned",
-            "",
-            Cow::Borrowed(name.as_str()),
-            pid.index() as i64,
-        ),
-        RecordKind::ProcessResumed { pid } => {
-            ("process_resumed", "", Cow::Borrowed(""), pid.index() as i64)
-        }
-        RecordKind::ProcessSuspended { pid, reason } => (
-            match reason {
-                SuspendReason::WaitEvent => "suspended_wait_event",
-                SuspendReason::WaitTime => "suspended_wait_time",
-                SuspendReason::Join => "suspended_join",
-            },
-            "",
-            Cow::Borrowed(""),
-            pid.index() as i64,
-        ),
-        RecordKind::ProcessFinished { pid } => (
-            "process_finished",
-            "",
-            Cow::Borrowed(""),
-            pid.index() as i64,
-        ),
-        RecordKind::EventNotified { event } => (
-            "event_notified",
-            "",
-            Cow::Borrowed(""),
-            event.index() as i64,
-        ),
-        RecordKind::Marker { track, label } => {
-            ("marker", track.as_str(), Cow::Borrowed(label.as_str()), -1)
-        }
-        RecordKind::SpanBegin { track, label } => (
-            "span_begin",
-            track.as_str(),
-            Cow::Borrowed(label.as_str()),
-            -1,
-        ),
-        RecordKind::SpanEnd { track } => ("span_end", track.as_str(), Cow::Borrowed(""), -1),
-        RecordKind::SchedDecision {
-            track,
-            dispatched,
-            displaced,
-            reason,
-        } => (
-            "sched_decision",
-            track.as_str(),
-            Cow::Owned(format!(
-                "dispatched={} displaced={} reason={reason}",
-                dispatched.as_deref().unwrap_or("-"),
-                displaced.as_deref().unwrap_or("-"),
-            )),
-            -1,
-        ),
-        RecordKind::MutexWait {
-            track,
-            task,
-            owner,
-            mutex,
-        } => (
-            "mutex_wait",
-            track.as_str(),
-            Cow::Owned(format!("task={task} owner={owner}")),
-            i64::from(*mutex),
-        ),
-        RecordKind::MutexAcquired { track, task, mutex } => (
-            "mutex_acquired",
-            track.as_str(),
-            Cow::Owned(format!("task={task}")),
-            i64::from(*mutex),
-        ),
-        RecordKind::MutexReleased { track, task, mutex } => (
-            "mutex_released",
-            track.as_str(),
-            Cow::Owned(format!("task={task}")),
-            i64::from(*mutex),
-        ),
-        RecordKind::TaskReleased {
-            track,
-            task,
-            release,
-        } => (
-            "task_released",
-            track.as_str(),
-            Cow::Owned(format!("task={task} release={}", release.as_nanos())),
-            -1,
-        ),
-    };
-    out.push_str(&t.to_string());
-    out.push(',');
-    out.push_str(kind);
-    out.push(',');
-    // Free-form fields are always quoted, with embedded quotes doubled per
-    // RFC 4180, so hostile track/label strings cannot corrupt the row.
-    csv_quote(out, track);
-    out.push(',');
-    csv_quote(out, &label);
-    out.push(',');
-    out.push_str(&id.to_string());
-    out.push('\n');
-}
-
-/// Serializes records as CSV (`time_ns,kind,track,label,id`) for external
-/// plotting tools. Kernel record ids (`pid`/`event`) land in the `id`
-/// column; span/marker records fill `track` and `label`. Track and label
-/// are always quoted, with embedded quotes doubled per RFC 4180.
-#[must_use]
-pub fn to_csv(records: &[Record]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    for r in records {
-        csv_row(&mut out, r);
-    }
-    out
-}
-
 /// Renders tracks of segments as an ASCII Gantt chart (one row per track),
 /// `width` characters across the `[start, end]` window. Used by the
 /// Figure 8 reproduction binary. Segments are filled with the first
@@ -1339,7 +942,6 @@ pub fn render_gantt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     fn span(track: &str, label: &str, start_us: u64, end_us: u64) -> Segment {
         Segment {
@@ -1498,92 +1100,45 @@ mod tests {
         assert!(g.contains("t |##########|"), "got: {g}");
     }
 
-    #[test]
-    fn csv_export_round_trips_fields() {
+    /// Records `recs` through a fresh handle's string path and returns the
+    /// resolved snapshot.
+    fn round_trip(recs: &[Record]) -> Vec<Record> {
         let t = TraceHandle::new();
-        t.record(
-            SimTime::from_micros(1),
-            RecordKind::SpanBegin {
-                track: "taskA".into(),
-                label: "d1".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(2),
-            RecordKind::SpanEnd {
-                track: "taskA".into(),
-            },
-        );
-        t.record(
-            SimTime::from_micros(3),
-            RecordKind::Marker {
-                track: "irq".into(),
-                label: "fire".into(),
-            },
-        );
-        let csv = to_csv(&t.snapshot());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_ns,kind,track,label,id");
-        assert_eq!(lines[1], "1000,span_begin,\"taskA\",\"d1\",-1");
-        assert_eq!(lines[2], "2000,span_end,\"taskA\",\"\",-1");
-        assert_eq!(lines[3], "3000,marker,\"irq\",\"fire\",-1");
-    }
-
-    /// Minimal RFC 4180 row splitter for the round-trip assertion.
-    fn split_csv_row(line: &str) -> Vec<String> {
-        let mut fields = Vec::new();
-        let mut cur = String::new();
-        let mut chars = line.chars().peekable();
-        let mut in_quotes = false;
-        while let Some(c) = chars.next() {
-            if in_quotes {
-                if c == '"' {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        cur.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                } else {
-                    cur.push(c);
-                }
-            } else if c == '"' {
-                in_quotes = true;
-            } else if c == ',' {
-                fields.push(std::mem::take(&mut cur));
-            } else {
-                cur.push(c);
-            }
+        for r in recs {
+            t.record(r.time, r.kind.clone());
         }
-        fields.push(cur);
-        fields
+        t.snapshot()
     }
 
     #[test]
-    fn csv_escapes_hostile_labels() {
-        // Embedded quotes and commas used to corrupt the row structure.
-        let hostile_track = "tr\"ack,1";
-        let hostile_label = "he said \"hi\", twice";
-        let recs = vec![Record {
-            time: SimTime::from_micros(1),
-            kind: RecordKind::SpanBegin {
-                track: hostile_track.into(),
-                label: hostile_label.into(),
+    fn records_round_trip_fields() {
+        let recs = vec![
+            Record {
+                time: SimTime::from_micros(1),
+                kind: RecordKind::SpanBegin {
+                    track: "taskA".into(),
+                    label: "d1".into(),
+                },
             },
-        }];
-        let csv = to_csv(&recs);
-        let line = csv.lines().nth(1).unwrap();
-        let fields = split_csv_row(line);
-        assert_eq!(fields.len(), 5, "row kept exactly 5 fields: {line}");
-        assert_eq!(fields[0], "1000");
-        assert_eq!(fields[1], "span_begin");
-        assert_eq!(fields[2], hostile_track);
-        assert_eq!(fields[3], hostile_label);
-        assert_eq!(fields[4], "-1");
+            Record {
+                time: SimTime::from_micros(2),
+                kind: RecordKind::SpanEnd {
+                    track: "taskA".into(),
+                },
+            },
+            Record {
+                time: SimTime::from_micros(3),
+                kind: RecordKind::Marker {
+                    track: "irq".into(),
+                    label: "fire".into(),
+                },
+            },
+        ];
+        assert_eq!(round_trip(&recs), recs);
     }
 
     #[test]
-    fn csv_includes_sched_decisions() {
+    fn sched_decisions_round_trip() {
         let recs = vec![Record {
             time: SimTime::from_micros(5),
             kind: RecordKind::SchedDecision {
@@ -1593,16 +1148,12 @@ mod tests {
                 reason: DecisionReason::Preemption,
             },
         }];
-        let csv = to_csv(&recs);
-        let line = csv.lines().nth(1).unwrap();
-        assert_eq!(
-            line,
-            "5000,sched_decision,\"dsp:sched\",\"dispatched=enc displaced=dec reason=preemption\",-1"
-        );
+        assert_eq!(round_trip(&recs), recs);
+        assert_eq!(DecisionReason::Preemption.as_str(), "preemption");
     }
 
     #[test]
-    fn csv_includes_mutex_records() {
+    fn mutex_records_round_trip() {
         let recs = vec![
             Record {
                 time: SimTime::from_micros(1),
@@ -1630,14 +1181,7 @@ mod tests {
                 },
             },
         ];
-        let csv = to_csv(&recs);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(
-            lines[1],
-            "1000,mutex_wait,\"dsp:mutex\",\"task=enc owner=dec\",7"
-        );
-        assert_eq!(lines[2], "2000,mutex_acquired,\"dsp:mutex\",\"task=enc\",7");
-        assert_eq!(lines[3], "3000,mutex_released,\"dsp:mutex\",\"task=enc\",7");
+        assert_eq!(round_trip(&recs), recs);
         for (r, want) in recs
             .iter()
             .zip(["mutex_wait", "mutex_acquired", "mutex_released"])
@@ -1679,72 +1223,6 @@ mod tests {
                 track: "taskA".into()
             }
         );
-    }
-
-    #[test]
-    fn ring_sink_overflow_counts_drops_and_keeps_order() {
-        let t = TraceHandle::with_sink(Box::new(RingSink::new(3)));
-        let tr = t.intern_track("t");
-        for i in 0..5u64 {
-            let l = t.intern_label(&format!("l{i}"));
-            t.marker(SimTime::from_micros(i), tr, l);
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped_records(), 2);
-        // Survivors are the *newest* records, in original order.
-        let labels: Vec<String> = t
-            .snapshot()
-            .iter()
-            .map(|r| match &r.kind {
-                RecordKind::Marker { label, .. } => label.clone(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(labels, ["l2", "l3", "l4"]);
-    }
-
-    #[test]
-    fn ring_sink_below_capacity_drops_nothing() {
-        let t = TraceHandle::from_config(SinkConfig::Ring(16));
-        let tr = t.intern_track("t");
-        let l = t.intern_label("x");
-        t.marker(SimTime::ZERO, tr, l);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.dropped_records(), 0);
-    }
-
-    /// `Write` adapter over an mpsc sender so the test can observe bytes
-    /// written by a `Box<dyn Write + Send>` it no longer owns.
-    struct ChanWriter(mpsc::Sender<Vec<u8>>);
-    impl Write for ChanWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0
-                .send(buf.to_vec())
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn stream_sink_writes_csv_rows_and_retains_nothing() {
-        let (tx, rx) = mpsc::channel();
-        let t = TraceHandle::with_sink(Box::new(StreamSink::new(Box::new(ChanWriter(tx)))));
-        let tr = t.intern_track("taskA");
-        let l = t.intern_label("d1");
-        t.span_begin(SimTime::from_micros(1), tr, l);
-        t.span_end(SimTime::from_micros(2), tr);
-        t.flush().unwrap();
-        assert_eq!(t.len(), 0, "streaming sink retains nothing");
-        assert!(t.snapshot().is_empty());
-        let bytes: Vec<u8> = rx.try_iter().flatten().collect();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "time_ns,kind,track,label,id");
-        assert_eq!(lines[1], "1000,span_begin,\"taskA\",\"d1\",-1");
-        assert_eq!(lines[2], "2000,span_end,\"taskA\",\"\",-1");
     }
 
     #[test]

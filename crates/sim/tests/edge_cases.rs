@@ -175,7 +175,6 @@ fn kernel_records_cover_process_lifecycle() {
     let mut sim = Simulation::builder()
         .trace(TraceConfig {
             kernel_records: true,
-            ..TraceConfig::default()
         })
         .build();
     let trace = sim.trace_handle().expect("trace configured");
@@ -216,10 +215,6 @@ fn kernel_records_cover_process_lifecycle() {
     assert!(records
         .iter()
         .any(|r| matches!(r.kind, RecordKind::EventNotified { .. })));
-    // CSV export covers kernel records without panicking.
-    let csv = sldl_sim::trace::to_csv(&records);
-    assert!(csv.contains("process_spawned"));
-    assert!(csv.contains("event_notified"));
 }
 
 #[test]

@@ -26,7 +26,6 @@ fn run_workload(
 ) -> (SimTime, Vec<Record>, Vec<sldl_sim::FaultRecord>, Vec<u64>) {
     let mut builder = Simulation::builder().trace(TraceConfig {
         kernel_records: true,
-        ..TraceConfig::default()
     });
     if let Some(p) = plan {
         builder = builder.fault_plan(p);
