@@ -26,11 +26,7 @@
 //!   `message`; a document may have an empty `points` array only when
 //!   `degraded` is non-empty. Rates in a `host_dependent` document are
 //!   wall-clock measurements: this lint gates on *shape*, never on
-//!   throughput values. A `rtos-sld-bench/1` document whose `bench` is
-//!   `sched_micro` additionally must be `host_dependent` and carry its
-//!   select-scaling points in `select_indexed@N`/`select_linear@N` pairs,
-//!   each with a `selects_per_sec` metric — the pairing the perf gate and
-//!   the scaling table consume. A `comm_sweep` document must *not* be
+//!   throughput values. A `comm_sweep` document must *not* be
 //!   `host_dependent` (its `bus_bytes_per_sec` is a simulated-time rate),
 //!   must include the zero-latency `ideal` point, and every completed
 //!   point must carry the full bus metric set (`bus_transactions`,
@@ -196,9 +192,6 @@ fn lint_results(top: &[(String, Json)], schema: &str) -> Result<String, String> 
     for (i, p) in points.iter().enumerate() {
         lint_point(i, p)?;
     }
-    if matches!(field(top, "bench"), Some(Json::Str(b)) if b == "sched_micro") {
-        lint_sched_micro(top, points)?;
-    }
     if matches!(field(top, "bench"), Some(Json::Str(b)) if b == "comm_sweep") {
         lint_comm_sweep(top, points)?;
     }
@@ -219,60 +212,8 @@ fn lint_results(top: &[(String, Json)], schema: &str) -> Result<String, String> 
     ))
 }
 
-/// Extra shape checks for `sched_micro` documents: wall-clock rates must
-/// be flagged `host_dependent`, and the select-scaling points must come in
-/// indexed/linear pairs (per ready-set size) each carrying the
-/// `selects_per_sec` metric — the pairing is what the perf gate and the
-/// EXPERIMENTS.md scaling table consume.
-fn lint_sched_micro(top: &[(String, Json)], points: &[Json]) -> Result<(), String> {
-    if !matches!(field(top, "host_dependent"), Some(Json::Bool(true))) {
-        return Err("sched_micro document must set `host_dependent` to true".into());
-    }
-    let mut indexed: Vec<&str> = Vec::new();
-    let mut linear: Vec<&str> = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        let Json::Obj(fields) = p else { continue };
-        let Some(Json::Str(name)) = field(fields, "name") else {
-            continue;
-        };
-        let bucket = if let Some(n) = name.strip_prefix("select_indexed@") {
-            indexed.push(n);
-            true
-        } else if let Some(n) = name.strip_prefix("select_linear@") {
-            linear.push(n);
-            true
-        } else {
-            false
-        };
-        if bucket {
-            match field(fields, "metrics") {
-                Some(Json::Obj(metrics)) => {
-                    if !metrics.iter().any(|(k, _)| k == "selects_per_sec") {
-                        return Err(format!("points[{i}] ({name}) lacks `selects_per_sec`"));
-                    }
-                }
-                _ => return Err(format!("points[{i}] ({name}) lacks a `metrics` object")),
-            }
-        }
-    }
-    if indexed.is_empty() {
-        return Err("sched_micro document has no `select_indexed@N` points".into());
-    }
-    for n in &indexed {
-        if !linear.contains(n) {
-            return Err(format!("select_indexed@{n} has no select_linear@{n} pair"));
-        }
-    }
-    for n in &linear {
-        if !indexed.contains(n) {
-            return Err(format!("select_linear@{n} has no select_indexed@{n} pair"));
-        }
-    }
-    Ok(())
-}
-
 /// Metrics every completed `comm_sweep` point must carry — the bus
-/// instrumentation the contention tables and the perf gate consume.
+/// instrumentation the contention tables consume.
 const COMM_SWEEP_METRICS: [&str; 6] = [
     "bus_transactions",
     "bus_bytes",
@@ -716,85 +657,6 @@ mod tests {
         )
         .unwrap();
         let Json::Obj(top) = &empty else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_err());
-    }
-
-    #[test]
-    fn sched_micro_documents_are_validated() {
-        let point = |name: &str, metric: &str| {
-            format!(
-                r#"{{"name":"{name}","index":0,"seed":1,"status":"completed",
-                     "completed":true,"metrics":{{"ops":5,"{metric}":1.5}}}}"#
-            )
-        };
-        let doc = |host: bool, points: &[String]| {
-            let body = points.join(",");
-            let text = format!(
-                r#"{{"schema":"rtos-sld-bench/1","bench":"sched_micro","base_seed":1,
-                     "host_dependent":{host},"points":[{body}]}}"#
-            );
-            Json::parse(&text).unwrap()
-        };
-
-        let ok = doc(
-            true,
-            &[
-                point("churn", "ops_per_sec"),
-                point("select_indexed@8", "selects_per_sec"),
-                point("select_linear@8", "selects_per_sec"),
-            ],
-        );
-        let Json::Obj(top) = &ok else { unreachable!() };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_ok());
-
-        // Wall-clock rates must be flagged host-dependent.
-        let not_flagged = doc(
-            false,
-            &[
-                point("select_indexed@8", "selects_per_sec"),
-                point("select_linear@8", "selects_per_sec"),
-            ],
-        );
-        let Json::Obj(top) = &not_flagged else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_err());
-
-        // An indexed point without its linear twin (and vice versa) is a
-        // broken scaling pair.
-        for lonely in ["select_indexed@64", "select_linear@64"] {
-            let unpaired = doc(
-                true,
-                &[
-                    point("select_indexed@8", "selects_per_sec"),
-                    point("select_linear@8", "selects_per_sec"),
-                    point(lonely, "selects_per_sec"),
-                ],
-            );
-            let Json::Obj(top) = &unpaired else {
-                unreachable!()
-            };
-            assert!(lint_results(top, "rtos-sld-bench/1").is_err(), "{lonely}");
-        }
-
-        // No select points at all: not a sched_micro document.
-        let no_selects = doc(true, &[point("churn", "ops_per_sec")]);
-        let Json::Obj(top) = &no_selects else {
-            unreachable!()
-        };
-        assert!(lint_results(top, "rtos-sld-bench/1").is_err());
-
-        // A select point must carry the selects_per_sec metric.
-        let wrong_metric = doc(
-            true,
-            &[
-                point("select_indexed@8", "ops_per_sec"),
-                point("select_linear@8", "selects_per_sec"),
-            ],
-        );
-        let Json::Obj(top) = &wrong_metric else {
             unreachable!()
         };
         assert!(lint_results(top, "rtos-sld-bench/1").is_err());

@@ -373,7 +373,8 @@ impl ScenarioSpec {
                 o.set("bus_max_wait_us", run.bus.max_wait.as_secs_f64() * 1e6);
                 o.set("bus_contended", run.bus.contended as f64);
                 // Deterministic throughput: payload bytes per *simulated*
-                // second — the perf-gated headline metric of comm sweeps.
+                // second. It is fixed by the frame rate, so it does not
+                // move with bus width or timing.
                 let end_s = base.end_time.as_secs_f64();
                 if end_s > 0.0 {
                     o.set("bus_bytes_per_sec", run.bus.bytes as f64 / end_s);

@@ -49,7 +49,6 @@ type Entry = (u32, u64, u64);
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     stamp: u64,
-    rank: Rank,
 }
 
 fn is_live(slots: &[Slot], task: u32, stamp: u64) -> bool {
@@ -249,15 +248,6 @@ impl ReadyQueue {
         self.slots.get(task as usize).is_some_and(|s| s.stamp != 0)
     }
 
-    /// The queued rank of `task`, if it is queued.
-    #[must_use]
-    pub fn rank_of(&self, task: u32) -> Option<Rank> {
-        self.slots
-            .get(task as usize)
-            .filter(|s| s.stamp != 0)
-            .map(|s| s.rank)
-    }
-
     /// Inserts `task` with `rank`.
     ///
     /// # Panics
@@ -271,7 +261,7 @@ impl ReadyQueue {
         assert_eq!(self.slots[idx].stamp, 0, "task {task} is already queued");
         self.next_stamp += 1;
         let stamp = self.next_stamp;
-        self.slots[idx] = Slot { stamp, rank };
+        self.slots[idx] = Slot { stamp };
         self.live += 1;
         match &mut self.imp {
             Imp::Indexed(ix) => ix.insert(&self.slots, task, stamp, rank),
@@ -441,11 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_and_clear() {
+    fn clear_empties_the_queue() {
         let mut q = ReadyQueue::indexed();
         q.insert(4, (2, 0, 9));
-        assert_eq!(q.rank_of(4), Some((2, 0, 9)));
-        assert_eq!(q.rank_of(0), None);
         q.clear();
         assert!(q.is_empty());
         assert!(!q.contains(4));

@@ -10,10 +10,16 @@
 //! (`queue_rank`, seq-last) orders exactly like the dispatch rank, so
 //! agreement *here* plus agreement *there* closes the loop between the
 //! indexed structure and the conformance oracle's ground truth.
+//!
+//! A second test guards the reason the indexed structure exists: its
+//! select cost stays flat as the ready set grows from 8 to 4096 tasks.
+//! It compares two host timings from the same run, so it does not depend
+//! on host speed, and runs the linear reference under the same bound to
+//! show that the bound trips on the scan it replaced.
 
 use rtos_model::readyq::{Rank, ReadyQueue};
 use rtos_model::SchedAlg;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -86,6 +92,47 @@ impl LinearRef {
     }
 }
 
+/// A ready structure the select-cost guard can time: the indexed queue
+/// or the linear reference.
+trait Ready {
+    fn make_ready(&mut self, alg: SchedAlg, id: u32, t: &Task);
+    /// Removes and returns the task to dispatch.
+    fn dispatch(&mut self, alg: SchedAlg, tasks: &[Task]) -> u32;
+}
+
+impl Ready for ReadyQueue {
+    fn make_ready(&mut self, alg: SchedAlg, id: u32, t: &Task) {
+        self.insert(id, queue_rank(alg, t));
+    }
+    fn dispatch(&mut self, _: SchedAlg, _: &[Task]) -> u32 {
+        self.pop().expect("ready set never empties")
+    }
+}
+
+impl Ready for LinearRef {
+    fn make_ready(&mut self, _: SchedAlg, id: u32, _: &Task) {
+        self.queue.push(id);
+    }
+    fn dispatch(&mut self, alg: SchedAlg, tasks: &[Task]) -> u32 {
+        let id = self
+            .first_minimal(tasks, alg)
+            .expect("ready set never empties");
+        self.queue.retain(|&q| q != id);
+        id
+    }
+}
+
+const ALGS: [SchedAlg; 6] = [
+    SchedAlg::PriorityPreemptive,
+    SchedAlg::PriorityCooperative,
+    SchedAlg::Fifo,
+    SchedAlg::RoundRobin {
+        quantum: Duration::from_micros(100),
+    },
+    SchedAlg::Rms,
+    SchedAlg::Edf,
+];
+
 fn random_task(rng: &mut Rng, seq: u64) -> Task {
     let r = rng.next();
     Task {
@@ -102,17 +149,7 @@ fn random_task(rng: &mut Rng, seq: u64) -> Task {
 
 #[test]
 fn indexed_structure_matches_linear_scan_pick_sequences() {
-    let algs = [
-        SchedAlg::PriorityPreemptive,
-        SchedAlg::PriorityCooperative,
-        SchedAlg::Fifo,
-        SchedAlg::RoundRobin {
-            quantum: Duration::from_micros(100),
-        },
-        SchedAlg::Rms,
-        SchedAlg::Edf,
-    ];
-    for alg in algs {
+    for alg in ALGS {
         for seed in [1u64, 0x9E37_79B9, 0xFEED_F00D] {
             let mut rng = Rng(seed);
             let mut tasks: Vec<Task> = Vec::new();
@@ -203,5 +240,58 @@ fn indexed_structure_matches_linear_scan_pick_sequences() {
             assert!(rq.is_empty());
             assert!(picks > 100, "{alg} seed {seed}: degenerate op stream");
         }
+    }
+}
+
+/// Host nanoseconds per dispatch→re-ready cycle on a ready set of `n`
+/// tasks: the median of five timings of `ops` cycles each.
+fn select_ns<R: Ready>(alg: SchedAlg, n: usize, ops: u32, fresh: impl Fn() -> R) -> f64 {
+    let mut samples: Vec<f64> = (0..5u64)
+        .map(|round| {
+            let mut rng = Rng(0x9E37_79B9 + round);
+            let mut tasks: Vec<Task> = (1..=n as u64)
+                .map(|seq| random_task(&mut rng, seq))
+                .collect();
+            let mut ready = fresh();
+            for (id, t) in tasks.iter().enumerate() {
+                ready.make_ready(alg, id as u32, t);
+            }
+            let mut seq = n as u64;
+            let started = Instant::now();
+            for _ in 0..ops {
+                let id = ready.dispatch(alg, &tasks);
+                seq += 1;
+                tasks[id as usize] = random_task(&mut rng, seq);
+                ready.make_ready(alg, id, &tasks[id as usize]);
+            }
+            started.elapsed().as_nanos() as f64 / f64::from(ops)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[2]
+}
+
+#[test]
+fn select_cost_is_flat_from_8_to_4096_ready_tasks() {
+    // A 512x larger ready set may cost at most 32x per select. The
+    // indexed queue measures about 1x (bitmap levels) to 3x (EDF heap);
+    // the linear first-minimal scan it replaced measures hundreds of x,
+    // and is run here too so the bound is shown to catch it.
+    const BOUND: f64 = 32.0;
+    for alg in ALGS {
+        let fresh = || ReadyQueue::for_alg(alg);
+        let indexed = select_ns(alg, 4096, 20_000, fresh) / select_ns(alg, 8, 20_000, fresh);
+        let fresh = || LinearRef { queue: Vec::new() };
+        let linear = select_ns(alg, 4096, 100, fresh) / select_ns(alg, 8, 100, fresh);
+        println!("{alg}: 4096/8 select cost indexed {indexed:.1}x, linear {linear:.0}x");
+        assert!(
+            indexed < BOUND,
+            "{alg}: indexed select at 4096 ready tasks costs {indexed:.1}x the 8-task cost"
+        );
+        assert!(
+            linear > BOUND,
+            "{alg}: the linear reference scan scaled only {linear:.1}x, so the \
+             {BOUND}x bound would not catch it"
+        );
     }
 }

@@ -5,9 +5,14 @@
 //! error reporting must be unaffected by which (recycled) thread a
 //! process happened to run on.
 //!
+//! The last test guards what direct handoff buys: a process that is its
+//! own successor keeps running on its thread, so a self-resume costs far
+//! less than a switch to another process's thread. It compares two host
+//! timings from the same run, so it does not depend on host speed.
+//!
 //! The pool is **process-global**, so these tests serialize on a shared
 //! mutex: each one needs exclusive pool visibility for its spawn/recycle
-//! delta assertions and the `/proc` leak sweep.
+//! delta assertions, the `/proc` leak sweep and the timings.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -157,14 +162,14 @@ fn no_leaked_sim_threads_after_drop_and_drain() {
         sim.run().expect("round runs clean"); // run() consumes + tears down
     }
 
-    let drained = pool::drain();
-    assert!(drained > 0, "expected idle workers to drain");
-    assert_eq!(pool::idle_workers(), 0);
-
-    // drain() waits on the workers' exit flags, but the OS thread itself
-    // unwinds a hair later; poll briefly before calling it a leak.
+    // A worker signals its job done before it pushes itself back on the
+    // idle stack, so one can re-idle just after a drain: drain again while
+    // polling. drain() waits on the workers' exit flags, but the OS thread
+    // itself unwinds a hair later; poll briefly before calling it a leak.
+    let mut drained = 0;
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
+        drained += pool::drain();
         let leaked = sim_thread_names();
         if leaked.is_empty() {
             break;
@@ -175,6 +180,8 @@ fn no_leaked_sim_threads_after_drop_and_drain() {
         );
         std::thread::yield_now();
     }
+    assert!(drained > 0, "expected idle workers to drain");
+    assert_eq!(pool::idle_workers(), 0);
 }
 
 /// Names of this process's live threads that look like simulation
@@ -242,4 +249,79 @@ fn deadlock_reporting_survives_thread_recycling() {
     assert_eq!(run_trivial(2), 2);
     let after = pool::stats();
     assert!(after.jobs_recycled > before.jobs_recycled);
+}
+
+/// Median of five host timings of `run`, which returns the elapsed time
+/// and the op count it stands for, in nanoseconds per op.
+fn median_ns_per_op(mut run: impl FnMut() -> (Duration, u64)) -> f64 {
+    let mut samples: Vec<f64> = (0..5)
+        .map(|_| {
+            let (wall, ops) = run();
+            wall.as_nanos() as f64 / ops.max(1) as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[2]
+}
+
+#[test]
+fn self_resume_is_far_cheaper_than_a_cross_thread_switch() {
+    const ROUNDS: u64 = 2_000;
+    const YIELDS: u64 = 20_000;
+    let _guard = POOL_LOCK.lock().unwrap();
+    pool::prewarm(2);
+
+    // Cross-thread switches: two processes ping-ponging one notification
+    // each way. Each round hands the run token to the other thread and
+    // back.
+    let round_ns = median_ns_per_op(|| {
+        let mut sim = Simulation::new();
+        let ping = sim.event_new();
+        let pong = sim.event_new();
+        sim.spawn(Child::new("ping", move |ctx| {
+            for _ in 0..ROUNDS {
+                ctx.notify(ping);
+                ctx.wait(pong);
+            }
+            ctx.notify(ping);
+        }));
+        sim.spawn(Child::new("pong", move |ctx| {
+            for _ in 0..=ROUNDS {
+                ctx.wait(ping);
+                ctx.notify(pong);
+            }
+        }));
+        let started = std::time::Instant::now();
+        let kernel = sim.run().expect("ping-pong runs clean").kernel;
+        let wall = started.elapsed();
+        assert!(kernel.context_switches >= 2 * ROUNDS, "{kernel:?}");
+        (wall, ROUNDS)
+    });
+
+    // Self-resume: one process yielding with `waitfor(0)`. The kernel
+    // picks the same process again, so the token never leaves its thread.
+    let resume_ns = median_ns_per_op(|| {
+        let mut sim = Simulation::new();
+        sim.spawn(Child::new("yielder", |ctx| {
+            for _ in 0..YIELDS {
+                ctx.waitfor(Duration::ZERO);
+            }
+        }));
+        let started = std::time::Instant::now();
+        let kernel = sim.run().expect("yielder runs clean").kernel;
+        let wall = started.elapsed();
+        assert!(kernel.context_switches <= 1, "{kernel:?}");
+        (wall, YIELDS)
+    });
+
+    // Per loop iteration: measured 12-94x in debug builds. When the
+    // yielding thread stops driving the scheduler, so that every resume
+    // round-trips through the kernel thread, it measured 1.5-2.9x.
+    let ratio = round_ns / resume_ns;
+    println!("ping-pong round {round_ns:.0} ns, self-resume {resume_ns:.0} ns, ratio {ratio:.1}x");
+    assert!(
+        ratio >= 4.0,
+        "a ping-pong round ({round_ns:.0} ns) is only {ratio:.1}x a self-resume \
+         ({resume_ns:.0} ns); self-resumes must not cross threads"
+    );
 }
