@@ -266,7 +266,13 @@ impl TraceData {
     }
 
     /// Ingests an exported Chrome/Perfetto trace document (the analyze
-    /// bin's road), produced by [`crate::trace::to_chrome_json`].
+    /// bin's road), produced by [`crate::trace::to_chrome_json`]. This is
+    /// the only trace reader: `trace_lint` validates trace files by
+    /// calling it. Every event must carry a string `name` and `ph` and
+    /// numeric `pid`/`tid`; only the `M`, `X` and `i` phases the writer
+    /// emits are accepted; `X` events need `ts` and `dur`; and events on
+    /// `bus:{name}` tracks must be `req:`/`grant:`/`contend:` + master
+    /// instants or `xfer:{master}:{bytes}` spans.
     ///
     /// # Errors
     ///
@@ -333,15 +339,35 @@ impl TraceData {
                 .map(ToString::to_string)
         };
 
-        // Pass 2: the events themselves.
-        for e in events {
-            let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
-            let name = e.get("name").and_then(Json::as_str).unwrap_or("");
+        // Pass 2: the events themselves, each checked against the shape
+        // `to_chrome_json_with_meta` writes.
+        for (i, e) in events.iter().enumerate() {
+            let (Some(name), Some(ph)) = (
+                e.get("name").and_then(Json::as_str),
+                e.get("ph").and_then(Json::as_str),
+            ) else {
+                return Err(format!("traceEvents[{i}] lacks a string `name` or `ph`"));
+            };
+            if !["pid", "tid"]
+                .iter()
+                .all(|k| e.get(k).is_some_and(|v| v.as_u64().is_some()))
+            {
+                return Err(format!("traceEvents[{i}] lacks a numeric `pid` or `tid`"));
+            }
             match ph {
+                "M" => {}
                 "X" => {
                     let track = track_of(e)?;
                     let start = time_of(e, "ts")?;
-                    let dur = e.get("dur").and_then(Json::as_f64).unwrap_or(0.0);
+                    let dur = e
+                        .get("dur")
+                        .and_then(Json::as_f64)
+                        .ok_or_else(|| format!("traceEvents[{i}] is an X event without `dur`"))?;
+                    if track.starts_with("bus:") && xfer_bytes(name).is_none() {
+                        return Err(format!(
+                            "traceEvents[{i}]: bus span {name:?} is not `xfer:{{master}}:{{bytes}}`"
+                        ));
+                    }
                     let end = us_to_time(start.as_nanos() as f64 / 1e3 + dur);
                     data.end = data.end.max(end);
                     data.spans.push(SpanEv {
@@ -354,11 +380,26 @@ impl TraceData {
                 "i" => {
                     let time = time_of(e, "ts")?;
                     data.end = data.end.max(time);
-                    if let Some(reason) = name.strip_prefix("sched:") {
-                        let track = track_of(e)?;
+                    let track = track_of(e);
+                    if let Some(bus) = track.as_deref().ok().and_then(|t| t.strip_prefix("bus:")) {
+                        let well_formed = ["req:", "grant:", "contend:"]
+                            .iter()
+                            .any(|p| name.strip_prefix(p).is_some_and(|m| !m.is_empty()));
+                        if !well_formed {
+                            return Err(format!(
+                                "traceEvents[{i}]: bus instant {name:?} is not \
+                                 `req:`/`grant:`/`contend:` + master"
+                            ));
+                        }
+                        data.bus_markers.push(BusMarkEv {
+                            time,
+                            bus: bus.to_string(),
+                            label: name.to_string(),
+                        });
+                    } else if let Some(reason) = name.strip_prefix("sched:") {
                         data.sched.push(SchedEv {
                             time,
-                            pe: pe_of(&track),
+                            pe: pe_of(&track?),
                             dispatched: arg_str(e, "dispatched"),
                             displaced: arg_str(e, "displaced"),
                             reason: reason.to_string(),
@@ -382,7 +423,6 @@ impl TraceData {
                         "mutex:released" => Some(MutexOp::Released),
                         _ => None,
                     } {
-                        let track = track_of(e)?;
                         let task = arg_str(e, "task").ok_or("mutex event missing args.task")?;
                         let mutex = e
                             .get("args")
@@ -392,24 +432,20 @@ impl TraceData {
                         data.mutexes.push(MutexEv {
                             time,
                             op,
-                            pe: pe_of(&track),
+                            pe: pe_of(&track?),
                             task,
                             owner: arg_str(e, "owner"),
                             mutex: u32::try_from(mutex).unwrap_or(u32::MAX),
                         });
-                    } else if let Ok(track) = track_of(e) {
-                        if let Some(bus) = track.strip_prefix("bus:") {
-                            data.bus_markers.push(BusMarkEv {
-                                time,
-                                bus: bus.to_string(),
-                                label: name.to_string(),
-                            });
-                        } else if track.ends_with(":switch") {
-                            data.switch_markers += 1;
-                        }
+                    } else if track.is_ok_and(|t| t.ends_with(":switch")) {
+                        data.switch_markers += 1;
                     }
                 }
-                _ => {}
+                _ => {
+                    return Err(format!(
+                        "traceEvents[{i}] has phase {ph:?}; only M, X and i are written"
+                    ));
+                }
             }
         }
         data.sort_spans();
@@ -420,6 +456,17 @@ impl TraceData {
         self.spans
             .sort_by(|a, b| (&a.track, a.start, a.end).cmp(&(&b.track, b.start, b.end)));
     }
+}
+
+/// The byte count of a bus transfer span labelled
+/// `xfer:{master}:{bytes}`; `None` for any other label. The master name
+/// may itself contain colons, so the byte count is the *last* field.
+fn xfer_bytes(label: &str) -> Option<u64> {
+    let (master, bytes) = label.strip_prefix("xfer:")?.rsplit_once(':')?;
+    if master.is_empty() || !bytes.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    bytes.parse().ok()
 }
 
 /// Chrome microseconds (f64) back to integral nanoseconds. Exact for any
@@ -963,15 +1010,9 @@ impl Analysis {
                 bus_entry(bus, &mut buses);
                 let b = buses.get_mut(bus).expect("just inserted");
                 b.busy += dur;
-                // `xfer:{master}:{bytes}` — the master name may itself
-                // contain colons, so the byte count is the *last* field.
-                if let Some((_, bytes)) = s
-                    .label
-                    .strip_prefix("xfer:")
-                    .and_then(|rest| rest.rsplit_once(':'))
-                {
+                if let Some(bytes) = xfer_bytes(&s.label) {
                     b.transfers += 1;
-                    b.bytes += bytes.parse::<u64>().unwrap_or(0);
+                    b.bytes += bytes;
                 }
             } else if let Some(t) = tasks.get_mut(&s.track) {
                 t.span_busy += dur;
@@ -1254,6 +1295,98 @@ impl Analysis {
             doc.push(("buses", Json::Arr(buses)));
         }
         Json::obj(doc)
+    }
+
+    /// Checks a rendered `rtos-sld-analysis/1` document: the sections
+    /// [`to_json`](Self::to_json) writes are present and well-typed, and
+    /// `dropped_records` is zero (the analyzer refuses lossy traces, so a
+    /// nonzero count in a published document is a pipeline bug). Returns
+    /// a one-line summary.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first missing or ill-typed field.
+    pub fn check_json(doc: &Json) -> Result<String, String> {
+        let num = |j: &Json, key: &str| j.get(key).and_then(Json::as_f64).is_some();
+        let text = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).is_some();
+        match doc.get("dropped_records") {
+            Some(Json::U64(0)) => {}
+            Some(j) if j.as_f64().is_some() => {
+                return Err("analysis document has nonzero `dropped_records` (lossy trace)".into());
+            }
+            _ => return Err("analysis document lacks a numeric `dropped_records`".into()),
+        }
+        if let Some(key) = ["end_us", "context_switches"]
+            .into_iter()
+            .find(|k| !num(doc, k))
+        {
+            return Err(format!("analysis document lacks a numeric `{key}`"));
+        }
+        // (section, string fields, numeric fields) of each array entry.
+        let sections: [(&str, &[&str], &[&str]); 4] = [
+            ("pes", &["name"], &["decisions", "busy_us", "utilization"]),
+            (
+                "tasks",
+                &["name"],
+                &[
+                    "releases",
+                    "dispatches",
+                    "preemptions",
+                    "completed_cycles",
+                    "implicit_deadline_misses",
+                ],
+            ),
+            ("preemptions", &["by", "of"], &["count"]),
+            (
+                "blocking",
+                &["waiter", "owner"],
+                &["blocked_us", "interference_us"],
+            ),
+        ];
+        for (section, strings, numbers) in sections {
+            let items = doc
+                .get(section)
+                .and_then(Json::as_array)
+                .ok_or_else(|| format!("analysis document lacks a `{section}` array"))?;
+            for (i, item) in items.iter().enumerate() {
+                if let Some(key) = strings.iter().find(|k| !text(item, k)) {
+                    return Err(format!("{section}[{i}] lacks a string `{key}`"));
+                }
+                if let Some(key) = numbers.iter().find(|k| !num(item, k)) {
+                    return Err(format!("{section}[{i}] lacks a numeric `{key}`"));
+                }
+            }
+        }
+        let blocking = doc.get("blocking").and_then(Json::as_array).unwrap_or(&[]);
+        let mut unbounded = 0usize;
+        for (i, b) in blocking.iter().enumerate() {
+            match b.get("bounded") {
+                Some(Json::Bool(bounded)) => unbounded += usize::from(!bounded),
+                _ => return Err(format!("blocking[{i}] lacks a boolean `bounded`")),
+            }
+        }
+        let sched = doc
+            .get("schedulability")
+            .filter(|s| matches!(s, Json::Obj(_)))
+            .ok_or("analysis document lacks a `schedulability` object")?;
+        if let Some(key) = ["tasks_in_model", "total_utilization", "liu_layland_bound"]
+            .into_iter()
+            .find(|k| !num(sched, k))
+        {
+            return Err(format!("schedulability lacks a numeric `{key}`"));
+        }
+        let n_tasks = doc
+            .get("tasks")
+            .and_then(Json::as_array)
+            .map_or(0, <[Json]>::len);
+        Ok(format!(
+            "valid {SCHEMA} document ({n_tasks} tasks{})",
+            if unbounded > 0 {
+                format!("; {unbounded} unbounded inversion windows")
+            } else {
+                String::new()
+            }
+        ))
     }
 
     /// Renders the human-readable markdown schedulability report.

@@ -21,7 +21,6 @@
 //! metrics (simulated time — deterministic; host times are only printed,
 //! never serialized).
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bench::json::Json;
@@ -39,31 +38,18 @@ const ABOUT: &str = "Back-annotation study: calibrate the architecture model's k
 struct Stage {
     name: &'static str,
     transcode: Duration,
-    host: Duration,
 }
 
 impl Stage {
     /// Folds the stage into the shared results-document point shape.
     fn outcome(&self, ground_truth: Duration) -> ScenarioOutcome {
-        let mut metrics = BTreeMap::new();
-        metrics.insert(
-            "transcode_delay_us".to_string(),
-            self.transcode.as_nanos() as f64 / 1e3,
-        );
-        metrics.insert(
-            "error_vs_iss_us".to_string(),
-            (self.transcode.as_secs_f64() - ground_truth.as_secs_f64()) * 1e6,
-        );
-        ScenarioOutcome {
-            status: "completed".into(),
-            completed: true,
-            metrics,
-            kernel_stats: None,
-            tasks: Vec::new(),
-            records: Vec::new(),
-            dropped_records: 0,
-            host_time: self.host,
-        }
+        ScenarioOutcome::completed([
+            ("transcode_delay_us", self.transcode.as_nanos() as f64 / 1e3),
+            (
+                "error_vs_iss_us",
+                (self.transcode.as_secs_f64() - ground_truth.as_secs_f64()) * 1e6,
+            ),
+        ])
     }
 }
 
@@ -121,22 +107,18 @@ fn main() {
         Stage {
             name: "implementation_iss",
             transcode: t_impl,
-            host: impl_run.host_time,
         },
         Stage {
             name: "architecture_wcet",
             transcode: arch_wcet.mean_transcode_delay(),
-            host: arch_wcet.host_time,
         },
         Stage {
             name: "architecture_actual",
             transcode: t0,
-            host: arch_actual.host_time,
         },
         Stage {
             name: "architecture_calibrated",
             transcode: t_cal,
-            host: arch_cal.host_time,
         },
     ];
 
@@ -193,7 +175,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
+    bench::cli::write_json(&args, || {
         let mut doc = ResultsDoc::new("calibration", args.seed);
         doc.header("frames", Json::U64(frames as u64));
         doc.header(
@@ -208,16 +190,6 @@ fn main() {
                 &stage.outcome(t_impl),
             );
         }
-        match doc.write(path) {
-            Ok(_) => {
-                if !args.quiet {
-                    println!("wrote {}", path.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+        doc
+    });
 }

@@ -13,7 +13,6 @@
 //! for the same run — `EXPERIMENTS.md` walks through turning that trace
 //! into a markdown schedulability report with the `analyze` bin.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use model_refine::{figure3_spec, run_architecture, run_unscheduled, Figure3Delays, RunConfig};
@@ -68,26 +67,14 @@ fn print_model(title: &str, run: &model_refine::ModelRun, tracks: &[&str]) {
 
 /// Folds one model run into the shared results-document point shape.
 fn outcome(run: &model_refine::ModelRun) -> ScenarioOutcome {
-    let mut metrics = BTreeMap::new();
-    metrics.insert("end_us".to_string(), run.end_time().as_nanos() as f64 / 1e3);
-    metrics.insert(
-        "context_switches".to_string(),
-        run.context_switches() as f64,
-    );
-    metrics.insert(
-        "overlap_b2_b3_us".to_string(),
-        run.overlap("task_b2", "task_b3").as_nanos() as f64 / 1e3,
-    );
-    ScenarioOutcome {
-        status: "completed".into(),
-        completed: true,
-        metrics,
-        kernel_stats: None,
-        tasks: Vec::new(),
-        records: Vec::new(),
-        dropped_records: 0,
-        host_time: Duration::ZERO,
-    }
+    ScenarioOutcome::completed([
+        ("end_us", run.end_time().as_nanos() as f64 / 1e3),
+        ("context_switches", run.context_switches() as f64),
+        (
+            "overlap_b2_b3_us",
+            run.overlap("task_b2", "task_b3").as_nanos() as f64 / 1e3,
+        ),
+    ])
 }
 
 fn main() {
@@ -115,7 +102,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
+    bench::cli::write_json(&args, || {
         let mut doc = ResultsDoc::new("figure8", args.seed);
         doc.push_point(
             "unscheduled",
@@ -132,51 +119,9 @@ fn main() {
             ]),
             &outcome(&arch),
         );
-        match doc.write(path) {
-            Ok(_) => {
-                if !args.quiet {
-                    println!("wrote {}", path.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(path) = &args.trace_out {
-        match bench::trace::write_chrome_trace(path, &arch.records) {
-            Ok(n) => {
-                if !args.quiet {
-                    println!(
-                        "wrote {n} trace events to {} (load at https://ui.perfetto.dev)\n",
-                        path.display()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(path) = &args.analyze_out {
-        let data = bench::analyze::TraceData::from_records(&arch.records, 0);
-        let analysis = bench::analyze::Analysis::from_trace(&data);
-        match analysis.to_json().write_to(path) {
-            Ok(()) => {
-                if !args.quiet {
-                    println!("wrote analysis document to {}", path.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+        doc
+    });
+    bench::trace::write_trace_outputs(&args, || arch.records.clone());
 
     if !args.quiet {
         println!("Paper shape checks:");

@@ -17,7 +17,6 @@
 //! document in which `bench::analyze` classifies exactly those windows
 //! as unbounded inversion.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -115,18 +114,7 @@ fn policy_name(policy: InheritancePolicy) -> &'static str {
 
 /// Folds one run into the shared results-document point shape.
 fn outcome(r: &RunResult) -> ScenarioOutcome {
-    let mut metrics = BTreeMap::new();
-    metrics.insert("h_completion_us".to_string(), r.h_completion_us as f64);
-    ScenarioOutcome {
-        status: "completed".into(),
-        completed: true,
-        metrics,
-        kernel_stats: None,
-        tasks: Vec::new(),
-        records: Vec::new(),
-        dropped_records: 0,
-        host_time: Duration::ZERO,
-    }
+    ScenarioOutcome::completed([("h_completion_us", r.h_completion_us as f64)])
 }
 
 fn main() {
@@ -173,7 +161,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
+    bench::cli::write_json(&args, || {
         let mut doc = ResultsDoc::new("inversion", args.seed);
         doc.header("critical_section_us", Json::U64(100));
         for (i, (policy, medium, r)) in points.iter().enumerate() {
@@ -188,63 +176,16 @@ fn main() {
                 &outcome(r),
             );
         }
-        match doc.write(path) {
-            Ok(_) => {
-                if !args.quiet {
-                    println!("wrote {}", path.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+        doc
+    });
 
     // The representative traced point is the *most inverted* one: no
     // inheritance, largest M workload — its trace carries the mutex wait
     // edges the analyzer classifies as unbounded inversion windows.
-    if args.trace_out.is_some() || args.analyze_out.is_some() {
+    bench::trace::write_trace_outputs(&args, || {
         let worst = *MEDIUM_WORK_US.last().expect("nonempty sweep");
-        let traced = run_scenario(InheritancePolicy::None, worst, true);
-        if let Some(path) = &args.trace_out {
-            match bench::trace::write_chrome_trace(path, &traced.records) {
-                Ok(n) => {
-                    if !args.quiet {
-                        println!(
-                            "wrote {n} trace events to {} (load at https://ui.perfetto.dev)",
-                            path.display()
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: writing {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(path) = &args.analyze_out {
-            let data = bench::analyze::TraceData::from_records(&traced.records, 0);
-            let analysis = bench::analyze::Analysis::from_trace(&data);
-            match analysis.to_json().write_to(path) {
-                Ok(()) => {
-                    if !args.quiet {
-                        let unbounded = analysis.blocking.iter().filter(|b| !b.bounded()).count();
-                        println!(
-                            "wrote analysis document to {} ({} blocking episodes, {} unbounded)",
-                            path.display(),
-                            analysis.blocking.len(),
-                            unbounded
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: writing {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
+        run_scenario(InheritancePolicy::None, worst, true).records
+    });
 }
 
 #[cfg(test)]

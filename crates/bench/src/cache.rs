@@ -63,6 +63,19 @@ impl Hash128 {
     pub fn to_hex(self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
+
+    /// Parses the [`to_hex`](Self::to_hex) rendering; `None` unless `hex`
+    /// is exactly 32 lowercase hex digits.
+    #[must_use]
+    pub fn from_hex(hex: &str) -> Option<Hash128> {
+        if hex.len() != 32 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        Some(Hash128 {
+            hi: u64::from_str_radix(&hex[..16], 16).ok()?,
+            lo: u64::from_str_radix(&hex[16..], 16).ok()?,
+        })
+    }
 }
 
 /// SplitMix64 finalizer: the avalanche core used for both lanes.
@@ -291,11 +304,11 @@ impl ScenarioCache {
             }
         };
         match decode_entry(&text, key) {
-            Some(o) => {
+            Ok(o) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(o)
             }
-            None => {
+            Err(_) => {
                 self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -362,22 +375,29 @@ impl ScenarioCache {
     }
 }
 
-/// Parses + verifies one entry file body against the expected key.
-fn decode_entry(text: &str, key: Hash128) -> Option<ScenarioOutcome> {
-    let doc = Json::parse(text).ok()?;
+/// Parses and verifies one entry file body against the expected key:
+/// the schema, the key, the payload hash and the outcome itself. This is
+/// the only reader of `rtos-sld-cache/1`; [`ScenarioCache::lookup`] and
+/// `trace_lint` both call it.
+///
+/// # Errors
+///
+/// Returns a message naming the first check that failed.
+pub fn decode_entry(text: &str, key: Hash128) -> Result<ScenarioOutcome, String> {
+    let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     if doc.get("schema").and_then(Json::as_str) != Some(CACHE_SCHEMA) {
-        return None;
+        return Err(format!("schema is not {CACHE_SCHEMA}"));
     }
     if doc.get("key").and_then(Json::as_str) != Some(key.to_hex().as_str()) {
-        return None;
+        return Err(format!("key is not {}", key.to_hex()));
     }
-    let point = doc.get("point")?;
+    let point = doc.get("point").ok_or("no cached `point`")?;
     let rendered = point.render();
-    let payload_hash = doc.get("payload_hash").and_then(Json::as_str)?;
-    if payload_hash != hash_bytes(rendered.as_bytes()).to_hex() {
-        return None;
+    let payload_hash = doc.get("payload_hash").and_then(Json::as_str);
+    if payload_hash != Some(hash_bytes(rendered.as_bytes()).to_hex().as_str()) {
+        return Err("payload hash does not match the cached point".into());
     }
-    ScenarioOutcome::from_json(point).ok()
+    ScenarioOutcome::from_json(point)
 }
 
 /// A no-allocation view of cache state for bins that only need to know
@@ -423,5 +443,7 @@ mod tests {
         let h = hash_bytes(b"x").to_hex();
         assert_eq!(h.len(), 32);
         assert!(h.chars().all(|c| c.is_ascii_hexdigit()));
+        assert_eq!(Hash128::from_hex(&h), Some(hash_bytes(b"x")));
+        assert_eq!(Hash128::from_hex("abc"), None);
     }
 }

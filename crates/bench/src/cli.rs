@@ -32,7 +32,7 @@
 //! outcomes, and hands the document aggregates to [`SweepApp::finish`].
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::cache::ScenarioCache;
@@ -496,7 +496,7 @@ impl SweepApp {
             }
         }
 
-        if let Some(path) = &self.args.json {
+        write_json(&self.args, || {
             let mut doc = ResultsDoc::new(self.bench, self.args.seed);
             for (k, v) in &self.headers {
                 doc.header(k.clone(), v.clone());
@@ -512,23 +512,42 @@ impl SweepApp {
                 }
             }
             aggregates(&mut doc);
-            match doc.write(path) {
-                Ok(_) => {
-                    if !self.args.quiet {
-                        println!("wrote {}", path.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: writing {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
+            doc
+        });
 
         if let Some(p) = points.get(self.trace_point) {
             let seed = p.effective_seed(derive_seed(self.args.seed, self.trace_point as u64));
-            crate::trace::handle_trace_out(&self.args, &p.spec, seed);
-            crate::trace::handle_analyze_out(&self.args, &p.spec, seed);
+            crate::trace::write_trace_outputs(&self.args, || {
+                p.spec.clone().trace(true).run_seeded(seed).records
+            });
+        }
+    }
+}
+
+/// Writes a bin's `--json` results document, which `doc` builds only
+/// when the flag is set. With [`crate::trace::write_trace_outputs`] this
+/// is the one epilogue every bench bin ends with. Exits the process with
+/// status 1 when the file cannot be written.
+pub fn write_json(args: &Args, doc: impl FnOnce() -> ResultsDoc) {
+    if let Some(path) = &args.json {
+        write_or_exit(
+            path,
+            &doc().to_json(),
+            args.quiet,
+            format!("wrote {}", path.display()),
+        );
+    }
+}
+
+/// Writes `doc` to `path` and prints `done` unless `quiet`; exits the
+/// process with status 1 when the file cannot be written.
+pub(crate) fn write_or_exit(path: &Path, doc: &Json, quiet: bool, done: String) {
+    match doc.write_to(path) {
+        Ok(()) if !quiet => println!("{done}"),
+        Ok(()) => {}
+        Err(e) => {
+            eprintln!("error: writing {}: {e}", path.display());
+            std::process::exit(1);
         }
     }
 }

@@ -34,7 +34,7 @@
 
 use std::path::Path;
 
-use crate::farm::{derive_seed, DegradedPoint};
+use crate::farm::{derive_seed, DegradedKind, DegradedPoint};
 use crate::json::Json;
 use crate::scenario::ScenarioOutcome;
 use crate::stats::Aggregate;
@@ -111,18 +111,6 @@ impl ResultsDoc {
         self
     }
 
-    /// Quarantines every point of `points` (the usual epilogue after
-    /// [`farm::partition`](crate::farm::partition)).
-    pub fn push_degraded_all<'a>(
-        &mut self,
-        points: impl IntoIterator<Item = &'a DegradedPoint>,
-    ) -> &mut Self {
-        for p in points {
-            self.push_degraded(p);
-        }
-        self
-    }
-
     /// Adds a named aggregate group: each `(metric, aggregate)` pair
     /// summarizes one metric across a set of points.
     pub fn push_aggregate<'a>(
@@ -157,6 +145,96 @@ impl ResultsDoc {
             fields.push(("degraded".to_string(), Json::Arr(self.degraded.clone())));
         }
         Json::Obj(fields)
+    }
+
+    /// Parses a rendered document back: the inverse of
+    /// [`to_json`](Self::to_json). Header keys keep their order, each
+    /// point is re-added through [`push_point`](Self::push_point) (so its
+    /// `seed` is re-derived from its index), `degraded` entries become
+    /// [`DegradedPoint`]s and `aggregates` are kept as JSON. A document
+    /// is well-formed exactly when `from_json(doc).to_json()` renders to
+    /// its bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the missing or ill-typed part.
+    pub fn from_json(doc: &Json) -> Result<ResultsDoc, String> {
+        let Json::Obj(fields) = doc else {
+            return Err("results document is not an object".into());
+        };
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(SCHEMA) => {}
+            other => return Err(format!("unsupported results schema {other:?}")),
+        }
+        let bench = doc
+            .get("bench")
+            .and_then(Json::as_str)
+            .ok_or("results document lacks a string `bench`")?;
+        let base_seed = doc
+            .get("base_seed")
+            .and_then(Json::as_u64)
+            .ok_or("results document lacks a numeric `base_seed`")?;
+        let mut out = ResultsDoc::new(bench, base_seed);
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                ("schema" | "bench" | "base_seed", _) => {}
+                ("points", Json::Arr(points)) => {
+                    for (i, p) in points.iter().enumerate() {
+                        let (Some(name), Some(index), Some(params)) = (
+                            p.get("name").and_then(Json::as_str),
+                            p.get("index").and_then(Json::as_u64),
+                            p.get("params"),
+                        ) else {
+                            return Err(format!("points[{i}] lacks `name`, `index` or `params`"));
+                        };
+                        let outcome = ScenarioOutcome::from_json(p)
+                            .map_err(|e| format!("points[{i}]: {e}"))?;
+                        out.push_point(name, index as usize, params.clone(), &outcome);
+                    }
+                }
+                ("aggregates", Json::Obj(groups)) => out.aggregates.clone_from(groups),
+                ("degraded", Json::Arr(points)) => {
+                    for (i, d) in points.iter().enumerate() {
+                        let kind = match d.get("kind").and_then(Json::as_str) {
+                            Some("panicked") => DegradedKind::Panicked,
+                            Some("overtime") => DegradedKind::Overtime,
+                            other => return Err(format!("degraded[{i}] has kind {other:?}")),
+                        };
+                        let (Some(index), Some(seed), Some(message)) = (
+                            d.get("index").and_then(Json::as_u64),
+                            d.get("seed").and_then(Json::as_u64),
+                            d.get("message").and_then(Json::as_str),
+                        ) else {
+                            return Err(format!(
+                                "degraded[{i}] lacks `index`, `seed` or `message`"
+                            ));
+                        };
+                        out.push_degraded(&DegradedPoint {
+                            index: index as usize,
+                            seed,
+                            kind,
+                            message: message.to_string(),
+                        });
+                    }
+                }
+                ("points" | "aggregates" | "degraded", _) => {
+                    return Err(format!("results document has an ill-typed `{key}`"));
+                }
+                _ => {
+                    out.header(key.clone(), value.clone());
+                }
+            }
+        }
+        if !fields.iter().any(|(k, _)| k == "points") {
+            return Err("results document lacks a `points` array".into());
+        }
+        Ok(out)
+    }
+
+    /// The number of completed and of degraded points.
+    #[must_use]
+    pub fn counts(&self) -> (usize, usize) {
+        (self.points.len(), self.degraded.len())
     }
 
     /// Writes the rendered document to `path` (creating directories) and
@@ -207,6 +285,24 @@ mod tests {
     }
 
     #[test]
+    fn committed_goldens_round_trip_byte_for_byte() {
+        for golden in [
+            "comm_sweep_default.json",
+            "robustness_f2_s7.json",
+            "schedulers_f10_x2_s11.json",
+        ] {
+            let path = format!("{}/tests/golden/{golden}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("golden readable");
+            let doc = ResultsDoc::from_json(&Json::parse(&text).expect("golden parses"))
+                .unwrap_or_else(|e| panic!("{golden}: {e}"));
+            assert!(
+                doc.to_json().render() == text,
+                "{golden} does not round-trip"
+            );
+        }
+    }
+
+    #[test]
     fn degraded_points_render_with_full_repro_context() {
         use crate::farm::{DegradedKind, DegradedPoint};
         let mut doc = ResultsDoc::new("demo", 9);
@@ -217,6 +313,8 @@ mod tests {
             message: "exceeded the 60 ms point watchdog".into(),
         });
         let s = doc.to_json().render();
+        let back = ResultsDoc::from_json(&doc.to_json()).unwrap();
+        assert_eq!(back.to_json().render(), s);
         assert!(s.contains("\"degraded\""), "{s}");
         assert!(s.contains("\"kind\": \"overtime\""), "{s}");
         assert!(s.contains("\"seed\": 48879"), "{s}");

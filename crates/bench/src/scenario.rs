@@ -301,7 +301,7 @@ impl ScenarioSpec {
         };
         match result {
             Ok(run) => {
-                let mut o = ScenarioOutcome::completed();
+                let mut o = ScenarioOutcome::completed([]);
                 o.set("frames", run.transcode_delays.len() as f64);
                 o.set("faults_injected", run.faults_injected as f64);
                 o.set("context_switches", run.context_switches as f64);
@@ -342,7 +342,7 @@ impl ScenarioSpec {
         let offered_util = cfg.timing.utilization(FRAME_PERIOD);
         match simulate_split(&cfg, split, self.sched, self.slice) {
             Ok(run) => {
-                let mut o = ScenarioOutcome::completed();
+                let mut o = ScenarioOutcome::completed([]);
                 let base = &run.run;
                 o.set("frames", base.transcode_delays.len() as f64);
                 o.set("faults_injected", base.faults_injected as f64);
@@ -422,7 +422,7 @@ impl ScenarioSpec {
             ..ImplConfig::default()
         };
         let run = run_impl_model(&cfg);
-        let mut o = ScenarioOutcome::completed();
+        let mut o = ScenarioOutcome::completed([]);
         o.set("frames", run.transcode_delays.len() as f64);
         o.set("context_switches", run.context_switches as f64);
         o.set("cycles", run.cycles as f64);
@@ -490,7 +490,7 @@ impl ScenarioSpec {
                         worst = worst.max(r.as_secs_f64() / t.period.as_secs_f64());
                     }
                 }
-                let mut o = ScenarioOutcome::completed();
+                let mut o = ScenarioOutcome::completed([]);
                 o.set("deadline_misses", m.deadline_misses() as f64);
                 o.set("cycles_run", cycles as f64);
                 o.set("worst_resp_over_period", worst);
@@ -517,7 +517,7 @@ impl ScenarioSpec {
                     .get("task_b3")
                     .and_then(|s| s.iter().find(|s| s.label == "d3"))
                     .map(|s| s.start);
-                let mut o = ScenarioOutcome::completed();
+                let mut o = ScenarioOutcome::completed([]);
                 o.set("trace_records", run.records.len() as f64);
                 o.set("context_switches", run.context_switches() as f64);
                 o.set("end_time_us", run.end_time().as_micros() as f64);
@@ -586,7 +586,7 @@ impl ScenarioSpec {
             Ok(report) => {
                 let m = os.metrics_at(report.end_time);
                 let s = &m.tasks[0];
-                let mut o = ScenarioOutcome::completed();
+                let mut o = ScenarioOutcome::completed([]);
                 o.set("deadline_misses", s.deadline_misses as f64);
                 o.set("cycles_skipped", s.cycles_skipped as f64);
                 o.set("restarts", s.restarts as f64);
@@ -1032,11 +1032,17 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    fn completed() -> Self {
+    /// A completed outcome carrying `metrics` and nothing else — the
+    /// point shape of bins that measure a model run themselves.
+    #[must_use]
+    pub fn completed(metrics: impl IntoIterator<Item = (&'static str, f64)>) -> Self {
         ScenarioOutcome {
             status: "completed".into(),
             completed: true,
-            metrics: BTreeMap::new(),
+            metrics: metrics
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
             kernel_stats: None,
             tasks: Vec::new(),
             records: Vec::new(),

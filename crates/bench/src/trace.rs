@@ -32,8 +32,8 @@ use std::path::Path;
 use sldl_sim::trace::segments;
 use sldl_sim::{Record, RecordKind, SimTime};
 
+use crate::cli::write_or_exit;
 use crate::json::Json;
-use crate::scenario::ScenarioSpec;
 
 /// The default process name for tracks that carry no `pe:` prefix (task
 /// tracks); if the trace names exactly one PE, those tracks are folded
@@ -298,89 +298,43 @@ pub fn to_chrome_json_with_meta(records: &[Record], dropped_records: u64) -> Jso
 /// Propagates filesystem errors.
 pub fn write_chrome_trace(path: &Path, records: &[Record]) -> std::io::Result<usize> {
     let doc = to_chrome_json(records);
-    let n = match &doc {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map_or(0, |(_, v)| match v {
-                Json::Arr(items) => items.len(),
-                _ => 0,
-            }),
-        _ => 0,
-    };
     doc.write_to(path)?;
-    Ok(n)
+    Ok(event_count(&doc))
 }
 
-/// Re-runs `spec` (with tracing forced on and the given per-point seed)
-/// and writes its Chrome trace to `path` — the implementation behind
-/// every sweep binary's `--trace-out`. The traced re-run is separate from
-/// the farm's measured runs, so enabling export never perturbs results.
-/// Returns the number of trace events written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn export_scenario_trace(
-    spec: &ScenarioSpec,
-    seed: u64,
-    path: &Path,
-) -> std::io::Result<usize> {
-    let outcome = spec.clone().trace(true).run_seeded(seed);
-    write_chrome_trace(path, &outcome.records)
+fn event_count(doc: &Json) -> usize {
+    doc.get("traceEvents")
+        .and_then(Json::as_array)
+        .map_or(0, <[Json]>::len)
 }
 
-/// Handles a binary's `--trace-out` flag: when present, re-runs `spec`
-/// (its representative sweep point) with tracing enabled under `seed`
-/// (pass the same per-point seed the sweep used — typically
-/// [`derive_seed`]`(args.seed, index)` or a pre-baked `spec.seed`) and
-/// writes the Chrome trace, printing a pointer to ui.perfetto.dev unless
-/// `--quiet`. Exits the process with status 1 on I/O errors, mirroring
-/// `--json` handling in the bins.
-///
-/// [`derive_seed`]: crate::farm::derive_seed
-pub fn handle_trace_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64) {
-    let Some(path) = &args.trace_out else {
+/// Handles a bin's `--trace-out` and `--analyze-out` flags for its
+/// representative run: when either is set, calls `records` once for that
+/// run's trace and writes the Chrome trace and/or the
+/// `rtos-sld-analysis/1` document ([`crate::analyze`]) from it. Sweep
+/// bins reach it through [`crate::cli::SweepApp::finish`], which re-runs
+/// the representative point traced, so export never perturbs the
+/// measured runs. Exits the process with status 1 when a file cannot be
+/// written.
+pub fn write_trace_outputs(args: &crate::cli::Args, records: impl FnOnce() -> Vec<Record>) {
+    if args.trace_out.is_none() && args.analyze_out.is_none() {
         return;
-    };
-    match export_scenario_trace(spec, seed, path) {
-        Ok(n) => {
-            if !args.quiet {
-                println!(
-                    "wrote {n} trace events to {} (load at https://ui.perfetto.dev)",
-                    path.display()
-                );
-            }
-        }
-        Err(e) => {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
     }
-}
-
-/// Handles a binary's `--analyze-out` flag: when present, re-runs `spec`
-/// (the same representative point `--trace-out` exports, under the same
-/// seed) with tracing enabled, runs the [`crate::analyze`] engine over
-/// the in-memory records, and writes the `rtos-sld-analysis/1` document.
-/// Exits the process with status 1 on failure.
-pub fn handle_analyze_out(args: &crate::cli::Args, spec: &ScenarioSpec, seed: u64) {
-    let Some(path) = &args.analyze_out else {
-        return;
-    };
-    let outcome = spec.clone().trace(true).run_seeded(seed);
-    let data = crate::analyze::TraceData::from_records(&outcome.records, 0);
-    let analysis = crate::analyze::Analysis::from_trace(&data);
-    match analysis.to_json().write_to(path) {
-        Ok(()) => {
-            if !args.quiet {
-                println!("wrote analysis document to {}", path.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
+    let records = records();
+    if let Some(path) = &args.trace_out {
+        let doc = to_chrome_json(&records);
+        let done = format!(
+            "wrote {} trace events to {} (load at https://ui.perfetto.dev)",
+            event_count(&doc),
+            path.display()
+        );
+        write_or_exit(path, &doc, args.quiet, done);
+    }
+    if let Some(path) = &args.analyze_out {
+        let data = crate::analyze::TraceData::from_records(&records, 0);
+        let doc = crate::analyze::Analysis::from_trace(&data).to_json();
+        let done = format!("wrote analysis document to {}", path.display());
+        write_or_exit(path, &doc, args.quiet, done);
     }
 }
 

@@ -1,5 +1,6 @@
 //! The committed chaos repro artifact (`tests/fixtures/chaos_repro.json`)
-//! must keep parsing as a valid `rtos-sld-chaos-repro/1` document: the
+//! must keep parsing as a valid `rtos-sld-chaos-repro/1` document (through
+//! `bench::repro`, the artifact's one reader and writer): the
 //! replayer (`chaos --repro PATH`) reconstructs a run from nothing but
 //! this shape, so the fixture pins the artifact schema independently of
 //! the feature-gated find–shrink–replay loop in `chaos_shrink.rs`.
@@ -9,6 +10,7 @@
 //! fixture is the one committed exemplar.
 
 use bench::json::Json;
+use bench::repro::{FailureKind, Repro};
 
 #[test]
 fn committed_repro_fixture_has_the_replayable_shape() {
@@ -17,35 +19,11 @@ fn committed_repro_fixture_has_the_replayable_shape() {
         "/tests/fixtures/chaos_repro.json"
     ))
     .expect("fixture readable");
-    let repro = Json::parse(&text).expect("fixture parses");
-
-    assert_eq!(
-        repro.get("schema").and_then(Json::as_str),
-        Some("rtos-sld-chaos-repro/1")
-    );
-    // Everything the replayer needs to reconstruct the run.
-    assert!(repro.get("workload").and_then(Json::as_str).is_some());
-    assert!(repro.get("frames").and_then(Json::as_u64).is_some());
-    assert!(repro.get("seed").and_then(Json::as_u64).is_some());
-    let faults = repro.get("fault_plan").expect("fault_plan");
-    for key in [
-        "wcet_probability",
-        "wcet_max_stretch",
-        "drop_notify",
-        "dup_notify",
-    ] {
-        assert!(faults.get(key).and_then(Json::as_f64).is_some(), "{key}");
-    }
-    let chaos = repro.get("chaos_plan").expect("chaos_plan");
-    for key in ["reorder", "stall"] {
-        assert!(chaos.get(key).and_then(Json::as_f64).is_some(), "{key}");
-    }
-    assert!(
-        repro
-            .get("failure")
-            .and_then(|f| f.get("kind"))
-            .and_then(Json::as_str)
-            .is_some(),
-        "failure.kind"
-    );
+    let doc = Json::parse(&text).expect("fixture parses");
+    // The replayer's own reader reconstructs the run from the fixture.
+    let repro = Repro::from_json(&doc).expect("fixture is a valid repro artifact");
+    assert_eq!(repro.workload, "vocoder");
+    assert_eq!(repro.kind, FailureKind::Overtime);
+    // Its writer renders the fixture back byte for byte.
+    assert_eq!(repro.to_json().render(), text);
 }

@@ -248,17 +248,4 @@ mod tests {
         );
         assert!(after.jobs_recycled > before.jobs_recycled);
     }
-
-    #[test]
-    fn prewarm_then_drain_round_trip() {
-        prewarm(4);
-        assert!(idle_workers() >= 4);
-        let drained = drain();
-        assert!(drained >= 4);
-        // Names were returned for reuse: a respawn formats nothing new.
-        let names_before = pool().names.lock().len();
-        prewarm(2);
-        assert!(pool().names.lock().len() >= names_before);
-        drain();
-    }
 }

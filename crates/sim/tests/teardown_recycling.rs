@@ -184,6 +184,30 @@ fn no_leaked_sim_threads_after_drop_and_drain() {
     assert_eq!(pool::idle_workers(), 0);
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn prewarm_then_drain_round_trip() {
+    let _guard = POOL_LOCK.lock().unwrap();
+
+    pool::prewarm(4);
+    assert!(pool::idle_workers() >= 4);
+    let names_before = sim_thread_names();
+    let drained = pool::drain();
+    assert!(drained >= 4);
+    // Drained slots hand their interned names back, so respawned workers
+    // reuse them: no thread may carry a name that was not alive before.
+    pool::prewarm(2);
+    let fresh: Vec<String> = sim_thread_names()
+        .into_iter()
+        .filter(|n| n.starts_with("sim-w") && !names_before.contains(n))
+        .collect();
+    assert!(
+        fresh.is_empty(),
+        "respawned workers got new names: {fresh:?}"
+    );
+    pool::drain();
+}
+
 /// Names of this process's live threads that look like simulation
 /// workers (`sim-*`), via `/proc/self/task/*/comm`.
 #[cfg(target_os = "linux")]
