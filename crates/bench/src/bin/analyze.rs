@@ -31,6 +31,8 @@
 //!
 //! Exit codes: 0 ok, 1 analysis refused (lossy/malformed trace), 2 usage.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use bench::analyze::{check_lossless, diff_traces, Analysis, TraceData};

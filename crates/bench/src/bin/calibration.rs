@@ -21,6 +21,8 @@
 //! metrics (simulated time — deterministic; host times are only printed,
 //! never serialized).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use bench::json::Json;

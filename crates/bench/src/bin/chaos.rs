@@ -4,8 +4,7 @@
 //!
 //! The matrix is `(workload × ChaosPlan × FaultPlan × seed)`: the vocoder
 //! architecture and unscheduled models and a synthetic periodic task set
-//! each run under
-//! dispatch-reorder and handoff-stall chaos combined with notify-drop,
+//! each run under dispatch-reorder chaos combined with notify-drop,
 //! notify-dup and WCET-jitter faults, every point with
 //! [`KernelInvariants::all`] and the RTOS scheduler-conformance checks
 //! armed. Model-level failures (watchdog expiries, detected deadlocks)
@@ -32,6 +31,8 @@
 //! [--watchdog-us US] [--repro-out PATH] [--repro PATH] [--json PATH]
 //! [--cache-dir DIR] [--quiet]`. Exits nonzero iff chaos failures were
 //! found (or, in `--repro` mode, iff the artifact fails to reproduce).
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -211,22 +212,14 @@ impl Shrinker {
                 }
             }
         }
-        let chaos_fields: [fn(&mut ChaosPlan) -> &mut f64; 2] =
-            [|c| &mut c.reorder, |c| &mut c.stall];
-        for get in chaos_fields {
-            loop {
-                let mut c = self.repro.chaos.clone();
-                let rate = get(&mut c);
-                if *rate / 2.0 < RATE_FLOOR {
-                    break;
-                }
-                *rate /= 2.0;
-                let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-                if self.still_fails(frames, &faults, &c) {
-                    self.repro.chaos = c;
-                } else {
-                    break;
-                }
+        while self.repro.chaos.reorder / 2.0 >= RATE_FLOOR {
+            let mut c = self.repro.chaos.clone();
+            c.reorder /= 2.0;
+            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
+            if self.still_fails(frames, &faults, &c) {
+                self.repro.chaos = c;
+            } else {
+                break;
             }
         }
     }
@@ -406,14 +399,7 @@ fn main() {
             .to_string(),
     );
 
-    let chaos_plans: [(&str, ChaosPlan); 3] = [
-        ("reorder", ChaosPlan::none().with_reorder(0.5)),
-        ("stall", ChaosPlan::none().with_stall(0.5)),
-        (
-            "reorder+stall",
-            ChaosPlan::none().with_reorder(0.5).with_stall(0.5),
-        ),
-    ];
+    let chaos_plans: [(&str, ChaosPlan); 1] = [("reorder", ChaosPlan::none().with_reorder(0.5))];
     let fault_plans: [(&str, FaultPlan); 4] = [
         ("clean", FaultPlan::none()),
         ("drop", FaultPlan::none().with_drop_notify(0.3)),
@@ -583,12 +569,8 @@ fn main() {
                         + usize::from(minimal.faults.dup_notify > 0.0);
                     println!(
                         "minimal repro ({trials} trials): frames={} fault_kinds={} \
-                         reorder={:.3} stall={:.3} window={:?}",
-                        minimal.frames,
-                        active_kinds,
-                        minimal.chaos.reorder,
-                        minimal.chaos.stall,
-                        minimal.chaos.window
+                         reorder={:.3} window={:?}",
+                        minimal.frames, active_kinds, minimal.chaos.reorder, minimal.chaos.window
                     );
                     println!(
                         "wrote {} — replay with: cargo run -p bench --bin chaos -- --repro {}",

@@ -13,6 +13,8 @@
 //! for the same run — `EXPERIMENTS.md` walks through turning that trace
 //! into a markdown schedulability report with the `analyze` bin.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use model_refine::{figure3_spec, run_architecture, run_unscheduled, Figure3Delays, RunConfig};

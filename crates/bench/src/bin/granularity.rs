@@ -18,6 +18,8 @@
 //! Run with `cargo run -p bench --bin granularity -- [--jobs N]
 //! [--seed S] [--json PATH] [--cache-dir DIR] [--quiet]`.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use bench::cli::{self, SweepApp, SweepPoint};

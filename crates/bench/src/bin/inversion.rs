@@ -17,6 +17,8 @@
 //! document in which `bench::analyze` classifies exactly those windows
 //! as unbounded inversion.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -12,6 +12,8 @@
 //! Run with `cargo run -p bench --bin load_sweep -- [--frames N]
 //! [--jobs N] [--seed S] [--json PATH] [--cache-dir DIR] [--quiet]`.
 
+#![forbid(unsafe_code)]
+
 use bench::cli::{self, SweepApp, SweepPoint};
 use bench::farm::PointResult;
 use bench::json::Json;

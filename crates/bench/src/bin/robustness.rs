@@ -21,6 +21,8 @@
 //! watchdog timeout (default 60000 µs, i.e. the 60 ms the sweep
 //! historically hardcoded).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use bench::cli::{self, SweepApp, SweepPoint};

@@ -20,6 +20,8 @@
 //! [--frames HORIZON_MS] [--jobs N] [--seed S] [--json PATH]
 //! [--cache-dir DIR] [--quiet]`.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use bench::cli::{self, SweepApp, SweepPoint};

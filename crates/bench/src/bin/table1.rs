@@ -22,6 +22,8 @@
 //! Run with `cargo run -p bench --bin table1 -- [--frames N] [--jobs N]
 //! [--json PATH] [--cache-dir DIR] [--quiet]`.
 
+#![forbid(unsafe_code)]
+
 use bench::cli::{self, SweepApp, SweepPoint};
 use bench::farm::PointResult;
 use bench::json::Json;

@@ -15,6 +15,8 @@
 //! degraded entry, and `comm_sweep` documents keep their cross-field
 //! rules (`lint_comm_sweep`).
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -279,12 +281,12 @@ mod tests {
             "failure":{"kind":"invariant","message":"delta went backwards"},
             "fault_plan":{"wcet_probability":0,"wcet_max_stretch":0,
                           "drop_notify":0.075,"dup_notify":0},
-            "chaos_plan":{"reorder":0.5,"stall":0,"window":[0,8]}}"#;
+            "chaos_plan":{"reorder":0.5,"window":[0,8]}}"#;
         assert!(check(ok).is_ok(), "{:?}", check(ok));
         assert!(check(&ok.replace("\"invariant\"", "\"cosmic-rays\"")).is_err());
         let missing_plan = r#"{"schema":"rtos-sld-chaos-repro/1","workload":"vocoder","frames":4,
             "seed":7,"failure":{"kind":"invariant","message":"x"},
-            "chaos_plan":{"reorder":0,"stall":0}}"#;
+            "chaos_plan":{"reorder":0}}"#;
         assert!(check(missing_plan).is_err());
     }
 

@@ -21,15 +21,14 @@
 //!
 //! `crates/bench/tests/farm_determinism.rs` pins this down end to end.
 //!
-//! ## Thread recycling
+//! ## Stack recycling
 //!
-//! Every simulated process runs on a pooled OS thread
-//! ([`sldl_sim::pool`]): the farm pre-warms the pool once per sweep, and
-//! concurrent sweep points recycle each other's finished process threads
-//! instead of spawn/join per point — which used to dominate the cost of a
-//! sweep of thousands of short simulations. Recycling is invisible to
-//! results (teardown quiesces before a thread is reused), so determinism
-//! is unaffected.
+//! Every simulated process runs as a coroutine on a pooled stack
+//! ([`sldl_sim::pool`]), on the farm worker thread that runs its point:
+//! the farm pre-warms the pool once per sweep, and concurrent sweep points
+//! reuse each other's stacks instead of mapping fresh ones per process.
+//! Recycling is invisible to results (a stack is reused only once its
+//! process has finished or unwound), so determinism is unaffected.
 //!
 //! [`Simulation`]: sldl_sim::Simulation
 
@@ -274,10 +273,10 @@ where
     G: Fn(PointCtx, &P) -> Result<R, (DegradedKind, String)> + Sync,
 {
     let jobs = jobs.clamp(1, points.len().max(1));
-    // Pre-warm the process-thread pool so even the first sweep points run
-    // their simulated processes on recycled threads. `jobs` is a cheap
-    // lower bound for how many process threads run concurrently; the pool
-    // grows on demand past it and keeps threads across sweeps.
+    // Pre-warm the process-stack pool so even the first sweep points run
+    // their simulated processes on recycled stacks. `jobs` is a cheap
+    // lower bound for how many processes are alive at once; the pool grows
+    // on demand past it and keeps stacks across sweeps.
     sldl_sim::pool::prewarm(jobs);
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<PointResult<R>>> =

@@ -19,6 +19,8 @@
 //!   every binary's `--trace-out` flag;
 //! * [`repro`] — the `chaos` bin's replayable minimal-repro artifact.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod cache;
 pub mod cli;

@@ -122,7 +122,6 @@ impl Repro {
                 "chaos_plan",
                 Json::obj([
                     ("reorder", Json::Num(self.chaos.reorder)),
-                    ("stall", Json::Num(self.chaos.stall)),
                     (
                         "window",
                         self.chaos.window.map_or(Json::Null, |(lo, hi)| {
@@ -184,9 +183,7 @@ impl Repro {
         }
 
         let cp = field("chaos_plan")?;
-        let mut chaos = ChaosPlan::none()
-            .with_reorder(num(cp, "reorder")?)
-            .with_stall(num(cp, "stall")?);
+        let mut chaos = ChaosPlan::none().with_reorder(num(cp, "reorder")?);
         if let Some(w) = cp.get("window").filter(|w| **w != Json::Null) {
             let arr = w.as_array().ok_or("window must be [lo, hi] or null")?;
             let lo = arr.first().and_then(Json::as_u64).ok_or("window[0]")?;

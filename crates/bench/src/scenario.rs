@@ -912,7 +912,6 @@ fn chaos_to_json(p: &ChaosPlan) -> Json {
     Json::obj([
         ("seed", Json::U64(p.seed())),
         ("reorder", Json::Num(p.reorder)),
-        ("stall", Json::Num(p.stall)),
         (
             "window",
             p.window.map_or(Json::Null, |(lo, hi)| {
@@ -923,9 +922,7 @@ fn chaos_to_json(p: &ChaosPlan) -> Json {
 }
 
 fn chaos_from_json(j: &Json) -> Result<ChaosPlan, String> {
-    let mut plan = ChaosPlan::seeded(u64_field(j, "seed")?)
-        .with_reorder(f64_field(j, "reorder")?)
-        .with_stall(f64_field(j, "stall")?);
+    let mut plan = ChaosPlan::seeded(u64_field(j, "seed")?).with_reorder(f64_field(j, "reorder")?);
     match field(j, "window")? {
         Json::Null => {}
         w => {
@@ -1374,12 +1371,7 @@ mod tests {
                     .with_dup_notify(0.02)
                     .with_spurious(EventId::from_index(3), 0.05),
             )
-            .chaos(
-                ChaosPlan::seeded(9)
-                    .with_reorder(0.1)
-                    .with_stall(0.2)
-                    .with_window(5, 500),
-            )
+            .chaos(ChaosPlan::seeded(9).with_reorder(0.1).with_window(5, 500))
             .oracle(true)
             .watchdog(WatchdogSpec {
                 timeout: Duration::from_millis(60),

@@ -1,7 +1,7 @@
 //! Scheduler conformance under kernel chaos.
 //!
-//! The chaos engine perturbs *kernel* decisions (same-delta dispatch
-//! order, handoff stalls) underneath the RTOS model. These tests pin down
+//! The chaos engine perturbs a *kernel* decision (same-delta dispatch
+//! order) underneath the RTOS model. These tests pin down
 //! that the RTOS layer stays well-formed under that pressure:
 //!
 //! * a chaotic run is a pure function of its seed (replays are exact);
@@ -118,7 +118,7 @@ fn run_scenario(chaos: Option<ChaosPlan>, oracle: bool) -> Digest {
 }
 
 fn torture_plan(seed: u64) -> ChaosPlan {
-    ChaosPlan::seeded(seed).with_reorder(0.6).with_stall(0.4)
+    ChaosPlan::seeded(seed).with_reorder(0.6)
 }
 
 #[test]

@@ -26,9 +26,8 @@
 //!
 //! Faults perturb the *model* (what the simulated system observes). The
 //! companion [`ChaosPlan`](crate::ChaosPlan) in [`crate::chaos`] perturbs
-//! the *kernel* (which runnable process is dispatched first, which handoff
-//! path a resume takes); the two compose freely and draw from independent
-//! seeded streams.
+//! the *kernel* (which runnable process is dispatched first); the two
+//! compose freely and draw from independent seeded streams.
 //!
 //! [`ProcCtx::perturb_delay`]: crate::ProcCtx::perturb_delay
 //! [`ProcCtx::notify`]: crate::ProcCtx::notify

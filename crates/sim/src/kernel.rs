@@ -12,10 +12,10 @@
 //! * **Time** advances in discrete steps to the earliest pending timed
 //!   wake-up once no ready process and no pending notification remains.
 //!
-//! Each process runs on a real OS thread, but the kernel enforces that at
-//! most one process executes at any host instant by strict token passing, so
-//! simulations are sequential and deterministic — the same co-routine model
-//! used by the SpecC reference simulator.
+//! Each process runs as a stackful coroutine on the thread that calls
+//! [`Simulation::run`] — the co-routine model of the SpecC reference
+//! simulator and of SystemC's `SC_THREAD`s. Exactly one process executes
+//! at a time, so simulations are sequential and deterministic.
 //!
 //! ## Hot path
 //!
@@ -23,24 +23,18 @@
 //! ISS-based model comes entirely from making it cheap), so the kernel
 //! keeps it lean:
 //!
-//! * **Handoffs** use a spin-then-park token word per process
-//!   ([`ParkCell`]): resuming a process is one atomic store plus at most
-//!   one `unpark`, and the kernel parks the same way waiting for the
-//!   yield — no channels, no condvar round-trips.
-//! * **Direct handoff**: the *yielding* thread drives the scheduler
-//!   itself (under the state lock) and passes the run token straight to
-//!   the successor process — or simply keeps running when it *is* its own
-//!   successor (e.g. the only process stepping through `waitfor`s). The
-//!   kernel thread parks for the whole stretch and is only woken for
-//!   errors, quiescence, or the run horizon, so a scheduling step costs
-//!   at most one host context switch instead of two. Decisions are made
-//!   on the same shared state under the same lock in the same order no
-//!   matter which thread drives, so the schedule (and every stat and
-//!   trace byte) is identical to the kernel-driven one.
-//! * **Threads are recycled** through the process-global worker pool
-//!   ([`crate::pool`]): teardown quiesces via a [`WaitGroup`] instead of
-//!   joining, and the next simulation's processes run on the parked
-//!   workers instead of fresh OS threads.
+//! * **A switch is a few instructions.** The kernel loop resumes the
+//!   chosen process on its own stack; the process runs until it suspends,
+//!   which switches straight back into the loop. No OS thread, no park
+//!   or unpark, no atomic handoff word: the loop then takes the next
+//!   decision ([`next_step`]) under the (uncontended) state lock.
+//! * **Stacks are recycled** through the process-global stack pool
+//!   ([`crate::pool`]): a process takes a guard-paged stack when it first
+//!   runs and returns it when its body returns or unwinds.
+//! * **Cancellation runs on the victim's stack.** A cancelled or
+//!   torn-down process is resumed with a cancel flag and unwinds there,
+//!   running its destructors before the kernel takes its next decision
+//!   (or, at teardown, before `run` returns), in process-id order.
 //! * **Delta-cycle dedup is O(1)**: each event carries a generation stamp
 //!   (`queued_gen`) matched against the kernel's current `delta_gen`, so
 //!   queuing a notification never scans the notified list.
@@ -54,16 +48,17 @@ use std::time::Duration;
 use crate::chaos::{
     ChaosPlan, ChaosRecord, ChaosState, InjectedChaos, KernelInvariants, OracleState,
 };
+use crate::coro::{self, Coroutine};
 use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 use crate::fault::{FaultPlan, FaultRecord, FaultState, NotifyFate};
 use crate::ids::{EventId, ProcessId};
 use crate::pool;
-use crate::sync::{Mutex, ParkCell, WaitGroup, MIN_TOKEN};
+use crate::sync::Mutex;
 use crate::time::SimTime;
 use crate::trace::{CompactKind, KernelStats, RecordKind, SuspendReason, TraceConfig, TraceHandle};
 use crate::wheel::TimerWheel;
 
-/// A process body: runs once on its own thread with a [`ProcCtx`].
+/// A process body: runs once, on its own stack, with a [`ProcCtx`].
 pub type ProcBody = Box<dyn FnOnce(&ProcCtx) + Send + 'static>;
 
 /// A named child process description for [`ProcCtx::par`],
@@ -162,13 +157,7 @@ pub enum StallPolicy {
 // Kernel state
 // ---------------------------------------------------------------------------
 
-/// Resume token: run until the next suspension point.
-const TOK_GO: u32 = MIN_TOKEN;
-/// Resume token: unwind and exit — the simulation is being torn down or the
-/// process was cancelled.
-const TOK_CANCEL: u32 = MIN_TOKEN + 1;
-
-/// Payload used to unwind a cancelled process thread.
+/// Payload used to unwind a cancelled process.
 struct CancelUnwind;
 
 /// Payload used to unwind a process that misused the model; the misuse
@@ -218,10 +207,9 @@ enum ProcState {
 struct ProcEntry {
     name: String,
     state: ProcState,
-    /// The process thread's spin-then-park resume cell: the kernel (or a
-    /// canceller) deposits [`TOK_GO`] / [`TOK_CANCEL`] here. Shared with
-    /// the pooled worker running the process body.
-    cell: Arc<ParkCell>,
+    /// The body, until the kernel first resumes the process and moves it
+    /// onto a coroutine.
+    body: Option<ProcBody>,
     /// Parent joining on this process through `par`, if any.
     parent: Option<ProcessId>,
     /// Waiter-slab node indices this process holds, one per event it is
@@ -272,7 +260,7 @@ struct EventEntry {
 struct State {
     now: SimTime,
     /// Horizon of the current `run_until` call: timed activity beyond it
-    /// returns control to the kernel thread. `SimTime::MAX` outside runs.
+    /// ends the run. `SimTime::MAX` outside runs.
     until: SimTime,
     procs: Vec<ProcEntry>,
     ready: VecDeque<ProcessId>,
@@ -297,6 +285,9 @@ struct State {
     wait_free: Vec<u32>,
     events: Vec<EventEntry>,
     live_procs: usize,
+    /// Processes cancelled by [`ProcCtx::cancel`] (already `Finished`)
+    /// whose bodies the kernel loop unwinds before its next resume.
+    cancelled: Vec<ProcessId>,
     panic: Option<(String, String)>,
     misuse: Option<Misuse>,
     abort: Option<AbortReason>,
@@ -324,8 +315,7 @@ struct State {
     /// Kernel self-metrics, updated unconditionally (cheap integer stores;
     /// no allocation) on every run.
     stats: KernelStats,
-    /// Last process handed the run token, for the kernel-level
-    /// context-switch count.
+    /// Last process resumed, for the kernel-level context-switch count.
     last_resumed: Option<ProcessId>,
 }
 
@@ -546,13 +536,6 @@ impl State {
 
 pub(crate) struct Shared {
     state: Mutex<State>,
-    /// Processes ping the kernel here after updating their state: one
-    /// token deposit instead of the old mpsc channel send.
-    kernel_cell: ParkCell,
-    /// Outstanding process jobs on pooled worker threads. Teardown
-    /// *quiesces* (waits for this to drain) instead of joining handles,
-    /// because pooled threads outlive the simulation.
-    wg: WaitGroup,
     /// Mirror of `State::now` in nanoseconds, so `ProcCtx::now` is a
     /// lock-free load. Safe: time only advances while no process runs.
     now_ns: AtomicU64,
@@ -561,7 +544,7 @@ pub(crate) struct Shared {
 impl Shared {
     /// Publishes the simulated clock to the lock-free mirror read by
     /// [`ProcCtx::now`]. `Relaxed` suffices: time only advances while no
-    /// process runs, and the resuming handoff orders the store anyway.
+    /// process runs, on the same thread that runs the processes.
     fn store_now(&self, now: SimTime) {
         self.now_ns.store(now.as_nanos(), Ordering::Relaxed);
     }
@@ -594,41 +577,33 @@ impl Shared {
 
 /// Outcome of driving the scheduler to its next decision.
 enum Step {
-    /// Hand the run token to this process (already marked `Running` and
-    /// counted in the stats by [`next_step`]). The flag asks the resuming
-    /// side to *stall* the handoff (chaos injection): deliver the token on
-    /// the slow path to widen race windows in the spin-then-park protocol.
-    /// Always `false` without an armed [`ChaosPlan`].
-    Resume(ProcessId, Arc<ParkCell>, bool),
-    /// The kernel thread must take over: an error is pending, the run is
-    /// quiescent, or the next timed activity lies beyond the horizon.
-    Kernel,
+    /// Resume this process (already marked `Running` and counted in the
+    /// stats by [`next_step`]).
+    Resume(ProcessId),
+    /// The run stops here: an error is pending, the run is quiescent, or
+    /// the next timed activity lies beyond the horizon.
+    Stop,
 }
 
-/// Drives the scheduler until a process must be resumed or the kernel
-/// thread must take over. Runs under the state lock on **whichever thread
-/// yields** — direct handoff: the yielding thread resumes its successor
-/// itself (and skips the park entirely when it *is* its own successor),
-/// leaving the kernel thread asleep. Every decision reads only the locked
-/// state, so the schedule — and every stat and trace record — is byte-
-/// identical no matter which thread happens to drive.
+/// Drives the scheduler, under the state lock, until a process must be
+/// resumed or the run must stop. Every decision reads only the locked
+/// state, so the schedule — and every stat and trace record — is a pure
+/// function of the model.
 fn next_step(shared: &Shared, st: &mut State) -> Step {
     loop {
-        // Pending errors always bounce control to the kernel thread before
-        // any further resume, preserving the "nothing runs after a
-        // panic/misuse/abort" invariant regardless of who is driving.
+        // A pending error stops the run before any further resume: nothing
+        // runs after a panic/misuse/abort.
         if st.panic.is_some() || st.misuse.is_some() || st.abort.is_some() || st.invariant.is_some()
         {
-            return Step::Kernel;
+            return Step::Stop;
         }
         // Chaos hook: an armed plan may pull the next runnable process
-        // from inside the ready queue instead of its head, and/or force
-        // the handoff onto the slow path. `st.chaos` is `None` unless a
-        // non-empty plan was installed, so the common path is exactly the
-        // old `pop_front`.
-        let (pick, stall) = match st.chaos.as_mut() {
+        // from inside the ready queue instead of its head. `st.chaos` is
+        // `None` unless a non-empty plan was installed, so the common path
+        // is exactly the old `pop_front`.
+        let pick = match st.chaos.as_mut() {
             Some(c) if !st.ready.is_empty() => c.decide(st.ready.len()),
-            _ => (None, false),
+            _ => None,
         };
         let popped = match pick {
             Some(j) if j > 0 => st.ready.remove(j),
@@ -637,7 +612,6 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
         if let Some(pid) = popped {
             let entry = &mut st.procs[pid.index()];
             entry.state = ProcState::Running;
-            let cell = Arc::clone(&entry.cell);
             st.stats.processes_resumed += 1;
             if st.last_resumed.is_some_and(|last| last != pid) {
                 st.stats.context_switches += 1;
@@ -646,8 +620,8 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
             st.record_kernel(CompactKind::ProcessResumed { pid });
             let now = st.now;
             if let Some(c) = st.chaos.as_mut() {
-                let decision = c.last_decision();
                 if let Some(position) = pick.filter(|&j| j > 0) {
+                    let decision = c.last_decision();
                     c.log.push(ChaosRecord {
                         at: now,
                         chaos: InjectedChaos::ReorderedDispatch {
@@ -657,17 +631,8 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
                         },
                     });
                 }
-                if stall {
-                    c.log.push(ChaosRecord {
-                        at: now,
-                        chaos: InjectedChaos::StalledHandoff {
-                            decision,
-                            process: pid,
-                        },
-                    });
-                }
             }
-            return Step::Resume(pid, cell, stall);
+            return Step::Resume(pid);
         }
         if !st.notified.is_empty() {
             // Oracle hook: validate the delta-flush boundary before
@@ -676,7 +641,7 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
             if st.oracle.is_some() {
                 oracle_delta_flush(st);
                 if st.invariant.is_some() {
-                    return Step::Kernel;
+                    return Step::Stop;
                 }
             }
             // Delta boundary: deliver notifications in order. The
@@ -713,7 +678,7 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
         }
         if let Some(top) = st.timed.peek_next_time() {
             if top > st.until {
-                return Step::Kernel;
+                return Step::Stop;
             }
             let now = top;
             st.now = now;
@@ -772,7 +737,7 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
         }
         // Quiescent: no ready process, no pending notification, no timed
         // wake-up. The kernel applies the stall policy.
-        return Step::Kernel;
+        return Step::Stop;
     }
 }
 
@@ -827,64 +792,30 @@ fn oracle_delta_flush(st: &mut State) {
             }
         }
     }
-    if checks.park_tokens && viol.is_none() {
-        // Strict token passing: while a scheduling decision runs (under
-        // the lock), every token deposited earlier has been consumed, so
-        // no unfinished process may hold one. Finished processes may
-        // legitimately hold an unconsumed cancel token.
-        for p in &st.procs {
-            if p.state == ProcState::Finished {
-                continue;
-            }
-            let raw = p.cell.peek_raw();
-            if raw >= MIN_TOKEN {
-                viol = Some(Violation {
-                    invariant: "park-tokens",
-                    subject: format!("process `{}`", p.name),
-                    details: format!("unconsumed resume token {raw} outside a handoff"),
-                });
-                break;
-            }
-        }
-    }
     if let Some(v) = viol {
         st.invariant.get_or_insert(v);
     }
     st.oracle = Some(o);
 }
 
-/// Invariant-oracle checks after teardown has quiesced the worker pool.
-/// Violations found here are surfaced by `run_until` when the run would
-/// otherwise have succeeded.
-fn oracle_teardown(shared: &Shared, st: &mut State) {
+/// Invariant-oracle checks after teardown has unwound every process.
+/// `stuck` is the index of the first process whose body suspended again
+/// instead of finishing when teardown cancelled it. Violations found here
+/// are surfaced by `run_until` when the run would otherwise have
+/// succeeded.
+fn oracle_teardown(st: &mut State, stuck: Option<usize>) {
     let Some(o) = st.oracle.take() else {
         return;
     };
     let checks = o.checks;
     let mut viol: Option<Violation> = None;
     if checks.pool_quiescence {
-        let outstanding = shared.wg.outstanding();
-        if outstanding != 0 {
+        if let Some(index) = stuck {
             viol = Some(Violation {
                 invariant: "pool-quiescence",
-                subject: "worker pool".into(),
-                details: format!("{outstanding} process job(s) outstanding after drain"),
+                subject: format!("process `{}`", st.procs[index].name),
+                details: "body suspended again after its cancellation; its stack leaks".into(),
             });
-        } else {
-            // After quiescence every worker consumed its final token
-            // (resume or cancel) on the way out; a leftover token means a
-            // handoff was lost.
-            for p in &st.procs {
-                let raw = p.cell.peek_raw();
-                if raw >= MIN_TOKEN {
-                    viol = Some(Violation {
-                        invariant: "pool-quiescence",
-                        subject: format!("process `{}`", p.name),
-                        details: format!("token {raw} left unconsumed after pool drain"),
-                    });
-                    break;
-                }
-            }
         }
     }
     if checks.wait_graph_acyclic && viol.is_none() {
@@ -1061,6 +992,7 @@ impl Simulation {
                 wait_free: Vec::new(),
                 events: Vec::new(),
                 live_procs: 0,
+                cancelled: Vec::new(),
                 panic: None,
                 misuse: None,
                 abort: None,
@@ -1075,8 +1007,6 @@ impl Simulation {
                 stats: KernelStats::default(),
                 last_resumed: None,
             }),
-            kernel_cell: ParkCell::new(),
-            wg: WaitGroup::new(),
             now_ns: AtomicU64::new(0),
         });
         Simulation {
@@ -1155,8 +1085,7 @@ impl Simulation {
     ///
     /// Returns the new process's id.
     pub fn spawn(&mut self, child: Child) -> ProcessId {
-        let mut st = self.shared.state.lock();
-        spawn_locked(&self.shared, &mut st, child, None)
+        spawn_locked(&mut self.shared.state.lock(), child, None)
     }
 
     /// Runs the simulation until no activity remains.
@@ -1178,16 +1107,19 @@ impl Simulation {
     /// panicked.
     pub fn run_until(mut self, until: SimTime) -> Result<Report, RunError> {
         let started = std::time::Instant::now();
-        let result = self.run_loop(until);
+        // Started processes, by pid. Local to this call: every coroutine
+        // lives and ends on this thread, inside this call.
+        let mut coros = Vec::new();
+        let result = self.run_loop(until, &mut coros);
         let wall_time = started.elapsed();
-        self.teardown();
+        self.teardown(coros);
         match result {
             Err(e) => Err(e),
             Ok(end_time) => {
                 let mut st = self.shared.state.lock();
                 // Violations observed by the oracle's teardown checks (or
-                // stored by a layer hook racing the end of the run) fail
-                // an otherwise clean run.
+                // stored by a layer hook during teardown) fail an
+                // otherwise clean run.
                 if let Some(v) = st.invariant.take() {
                     let at = st.now;
                     return Err(RunError::InvariantViolation {
@@ -1226,14 +1158,17 @@ impl Simulation {
         }
     }
 
-    fn run_loop(&mut self, until: SimTime) -> Result<SimTime, RunError> {
-        // The kernel waits on its own park cell; process threads drive the
-        // schedule among themselves (direct handoff) and only wake the
-        // kernel for errors, quiescence, or the run horizon.
-        self.shared.kernel_cell.register();
+    /// The kernel loop: takes each scheduling decision under the state
+    /// lock, then resumes the chosen process on its coroutine with the
+    /// lock released, until the run stops.
+    fn run_loop(
+        &mut self,
+        until: SimTime,
+        coros: &mut Vec<Option<Coroutine>>,
+    ) -> Result<SimTime, RunError> {
         self.shared.state.lock().until = until;
         loop {
-            let (cell, stall) = {
+            let (pid, fresh) = {
                 let mut st = self.shared.state.lock();
                 if let Some((process, message)) = st.panic.take() {
                     return Err(RunError::ProcessPanicked { process, message });
@@ -1263,9 +1198,41 @@ impl Simulation {
                         at,
                     });
                 }
+                if !st.cancelled.is_empty() {
+                    // Unwind processes cancelled since the last resume, in
+                    // cancellation order, before deciding anything else.
+                    let victims = std::mem::take(&mut st.cancelled);
+                    let unstarted: Vec<ProcBody> = victims
+                        .iter()
+                        .filter_map(|pid| st.procs[pid.index()].body.take())
+                        .collect();
+                    // Dropped unlocked: a body's captures may lock the state.
+                    drop(st);
+                    drop(unstarted);
+                    for pid in victims {
+                        if let Some(co) = coros.get_mut(pid.index()).and_then(Option::take) {
+                            co.cancel();
+                        }
+                    }
+                    continue;
+                }
                 match next_step(&self.shared, &mut st) {
-                    Step::Resume(_, cell, stall) => (cell, stall),
-                    Step::Kernel => {
+                    Step::Resume(pid) => {
+                        let fresh = st.procs[pid.index()].body.take().map(|body| {
+                            let (stack, recycled) = pool::take();
+                            if recycled {
+                                st.stats.stacks_recycled += 1;
+                            }
+                            let ctx = ProcCtx {
+                                shared: Arc::clone(&self.shared),
+                                pid,
+                                name: st.procs[pid.index()].name.clone(),
+                            };
+                            Coroutine::new(stack, move || run_process(&ctx, body))
+                        });
+                        (pid, fresh)
+                    }
+                    Step::Stop => {
                         // No error is pending (just checked), so either the
                         // next timed activity lies beyond the horizon, or
                         // the run is quiescent.
@@ -1279,58 +1246,54 @@ impl Simulation {
                     }
                 }
             };
-            // Hand the token to the process: one atomic store (plus at most
-            // one unpark). The state lock is released before either side
-            // runs, and the kernel stays parked until the simulation needs
-            // it again — possibly many scheduling steps later.
-            if stall {
-                // Chaos: widen the race window between the decision and
-                // the token deposit (host-side only; the simulated
-                // schedule is already fixed).
-                std::thread::yield_now();
+            let slot = pid.index();
+            if let Some(co) = fresh {
+                if coros.len() <= slot {
+                    coros.resize_with(slot + 1, || None);
+                }
+                coros[slot] = Some(co);
             }
-            cell.set(TOK_GO);
-            self.shared.kernel_cell.wait();
+            let co = coros[slot]
+                .as_mut()
+                .expect("a resumed process has a coroutine");
+            if co.resume() {
+                // Finished: its stack goes back to the pool.
+                coros[slot] = None;
+            }
         }
     }
 
-    /// Cancels every unfinished process and quiesces: waits until every
-    /// process job dispatched to the worker pool has finished, so no
-    /// pooled thread can touch this simulation's state afterwards. The
-    /// workers themselves are *not* joined — they return to the pool for
-    /// the next simulation. Idempotent.
-    fn teardown(&mut self) {
+    /// Unwinds every started, unfinished process on its own stack (in
+    /// process-id order) and drops the bodies of those that never ran.
+    /// When this returns, no frame of this simulation remains on any
+    /// stack. Idempotent.
+    fn teardown(&mut self, coros: Vec<Option<Coroutine>>) {
         if self.torn_down {
             return;
         }
         self.torn_down = true;
-        {
-            let st = self.shared.state.lock();
-            for p in &st.procs {
-                if p.state != ProcState::Finished {
-                    // Depositing `TOK_CANCEL` overwrites any stale `GO`
-                    // token a panicked thread left unconsumed — exactly the
-                    // case the old one-slot channel handled with `try_send`.
-                    p.cell.set(TOK_CANCEL);
-                }
+        let mut stuck = None;
+        for (index, co) in coros.into_iter().enumerate() {
+            if co.is_some_and(|co| !co.cancel()) {
+                stuck.get_or_insert(index);
             }
         }
-        // A cancelled process unwinds via CancelUnwind, which the harness
-        // catches; a panicked process already recorded its message. Either
-        // way the job wrapper calls `wg.done()` on its way out.
-        self.shared.wg.wait_zero();
-        // Oracle hook: with the pool quiesced, no thread but this one can
-        // touch the state — validate the post-drain invariants.
+        let unstarted: Vec<ProcBody> = {
+            let mut st = self.shared.state.lock();
+            st.procs.iter_mut().filter_map(|p| p.body.take()).collect()
+        };
+        // Dropped unlocked: a body's captures may lock the state.
+        drop(unstarted);
         let mut st = self.shared.state.lock();
         if st.oracle.is_some() {
-            oracle_teardown(&self.shared, &mut st);
+            oracle_teardown(&mut st, stuck);
         }
     }
 }
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        self.teardown();
+        self.teardown(Vec::new());
     }
 }
 
@@ -1356,21 +1319,20 @@ fn alloc_event(st: &mut State) -> EventId {
     id
 }
 
-/// Creates the process entry for `child` and dispatches its body to the
-/// worker pool (recycling a parked thread when one is idle — no per-spawn
-/// `thread::spawn`, no per-spawn name formatting). Caller holds the lock.
-fn spawn_locked(
-    shared: &Arc<Shared>,
-    st: &mut State,
-    child: Child,
-    parent: Option<ProcessId>,
-) -> ProcessId {
+/// Creates the process entry for `child`, ready in the current delta. Its
+/// body moves onto a coroutine when the kernel first resumes it. Caller
+/// holds the lock.
+fn spawn_locked(st: &mut State, child: Child, parent: Option<ProcessId>) -> ProcessId {
     let pid = ProcessId(u32::try_from(st.procs.len()).expect("process ids exhausted"));
-    let cell = Arc::new(ParkCell::new());
+    if st.trace_kernel {
+        if let Some(t) = &st.trace {
+            t.process_spawned(st.now, pid, &child.name);
+        }
+    }
     st.procs.push(ProcEntry {
-        name: child.name.clone(),
+        name: child.name,
         state: ProcState::Ready,
-        cell: Arc::clone(&cell),
+        body: Some(child.body),
         parent,
         waiting_on: Vec::new(),
         wake_cause: None,
@@ -1380,104 +1342,36 @@ fn spawn_locked(
     st.ready.push_back(pid);
     st.note_ready_depth();
     st.stats.processes_spawned += 1;
-    if st.trace_kernel {
-        if let Some(t) = &st.trace {
-            t.process_spawned(st.now, pid, &child.name);
-        }
-    }
-
-    let ctx = ProcCtx {
-        shared: Arc::clone(shared),
-        pid,
-        name: child.name.clone(),
-        cell,
-    };
-    let body = child.body;
-    // Teardown quiesces on the wait group instead of joining: `add` under
-    // the lock (before the job can possibly run), `done` as the job's very
-    // last action, after which the worker never touches this simulation.
-    shared.wg.add(1);
-    let wg_shared = Arc::clone(shared);
-    let recycled = pool::dispatch(Box::new(move || {
-        run_process(&ctx, body);
-        wg_shared.wg.done();
-    }));
-    if recycled {
-        st.stats.threads_recycled += 1;
-    }
     pid
 }
 
-/// Drives one more scheduling decision as a process exits (consuming the
-/// caller's state guard): hands the run token to the next process
-/// directly, or wakes the kernel thread when it must take over (error
-/// pending, quiescence, horizon). The exiting thread touches no
-/// simulation state afterwards.
-fn drive_after_exit(shared: &Arc<Shared>, mut st: crate::sync::MutexGuard<'_, State>) {
-    let target = match next_step(shared, &mut st) {
-        Step::Resume(_, cell, stall) => Some((cell, stall)),
-        Step::Kernel => None,
-    };
-    drop(st);
-    match target {
-        Some((cell, stall)) => {
-            if stall {
-                std::thread::yield_now();
-            }
-            cell.set(TOK_GO);
-        }
-        None => shared.kernel_cell.set(TOK_GO),
-    }
-}
-
-/// Pool-job harness: waits for the first token, runs the body, and performs
-/// finish/panic bookkeeping.
+/// The process harness, the first frame on every process coroutine: runs
+/// the body and performs finish/panic bookkeeping. Catches every unwind,
+/// so none escapes the coroutine.
 fn run_process(ctx: &ProcCtx, body: ProcBody) {
-    ctx.cell.register();
-    if ctx.cell.wait() != TOK_GO {
-        return; // TOK_CANCEL before first resume
-    }
     let result = panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
-    match result {
-        Ok(()) => {
-            let mut st = ctx.shared.state.lock();
-            st.finish(ctx.pid);
-            drive_after_exit(&ctx.shared, st);
+    let mut st = ctx.shared.state.lock();
+    if let Err(payload) = result {
+        // Note `&*payload`: coercing `&Box<dyn Any>` directly would wrap
+        // the box itself and every downcast would fail.
+        let payload: &(dyn std::any::Any + Send) = &*payload;
+        if payload.downcast_ref::<CancelUnwind>().is_some() {
+            // Cancelled: bookkeeping was done by the canceller (or the
+            // process stays blocked in the report, at teardown).
+            return;
         }
-        Err(payload) => {
-            // Note `&*payload`: coercing `&Box<dyn Any>` directly would wrap
-            // the box itself and every downcast would fail.
-            let payload: &(dyn std::any::Any + Send) = &*payload;
-            if payload.downcast_ref::<CancelUnwind>().is_some() {
-                // Cancelled: bookkeeping was done by the canceller (or by
-                // teardown); just exit the thread.
-                return;
-            }
-            if payload.downcast_ref::<MisuseUnwind>().is_some()
-                || payload.downcast_ref::<AbortUnwind>().is_some()
-                || payload.downcast_ref::<InvariantUnwind>().is_some()
-            {
-                // Misuse/abort/violation details were already stored in
-                // kernel state by `ProcCtx::misuse` / `ProcCtx::abort_run`
-                // / `ProcCtx::invariant_violation`; finish this process
-                // and hand control back to the kernel, which will convert
-                // the stored record into a structured `RunError`.
-                let mut st = ctx.shared.state.lock();
-                st.finish(ctx.pid);
-                // The pending misuse/abort makes `next_step` bounce to the
-                // kernel without resuming anything further.
-                drive_after_exit(&ctx.shared, st);
-                return;
-            }
-            let message = panic_message(payload);
-            let mut st = ctx.shared.state.lock();
-            if st.panic.is_none() {
-                st.panic = Some((ctx.name.clone(), message));
-            }
-            st.finish(ctx.pid);
-            drive_after_exit(&ctx.shared, st);
+        // Misuse/abort/violation details were already stored in kernel
+        // state by `ProcCtx::misuse` / `ProcCtx::abort_run` /
+        // `ProcCtx::invariant_violation`; the pending record stops the
+        // run before anything else is resumed.
+        let recorded = payload.downcast_ref::<MisuseUnwind>().is_some()
+            || payload.downcast_ref::<AbortUnwind>().is_some()
+            || payload.downcast_ref::<InvariantUnwind>().is_some();
+        if !recorded && st.panic.is_none() {
+            st.panic = Some((ctx.name.clone(), panic_message(payload)));
         }
     }
+    st.finish(ctx.pid);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1497,15 +1391,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The execution context handed to every simulated process.
 ///
 /// All suspension primitives (`wait*`, `waitfor`, `par`) must only be called
-/// from the process's own thread, which is guaranteed when using the `&self`
-/// reference passed to the process body.
+/// from the process's own body, on the thread running the simulation; a
+/// call from another thread panics.
 pub struct ProcCtx {
     shared: Arc<Shared>,
     pid: ProcessId,
     name: String,
-    /// This process's spin-then-park resume cell (shared with the kernel's
-    /// `ProcEntry`).
-    cell: Arc<ParkCell>,
 }
 
 impl core::fmt::Debug for ProcCtx {
@@ -1849,7 +1740,7 @@ impl ProcCtx {
             let mut st = self.shared.state.lock();
             let n = children.len();
             for child in children {
-                spawn_locked(&self.shared, &mut st, child, Some(self.pid));
+                spawn_locked(&mut st, child, Some(self.pid));
             }
             st.procs[self.pid.index()].state = ProcState::Joining { pending: n };
             st.stats.processes_suspended += 1;
@@ -1865,13 +1756,13 @@ impl ProcCtx {
     ///
     /// The new process becomes ready in the current delta cycle.
     pub fn spawn(&self, child: Child) -> ProcessId {
-        let mut st = self.shared.state.lock();
-        spawn_locked(&self.shared, &mut st, child, None)
+        spawn_locked(&mut self.shared.state.lock(), child, None)
     }
 
     /// Cancels a *blocked* process: it is treated as finished (par-joins on
-    /// it complete) and its thread unwinds without running the rest of its
-    /// body. Used to model OS-level `task_kill`.
+    /// it complete) and it unwinds without running the rest of its body —
+    /// on its own stack, running its destructors, as soon as this process
+    /// next suspends. Used to model OS-level `task_kill`.
     ///
     /// Cancelling an already-finished process is a no-op.
     ///
@@ -1895,52 +1786,24 @@ impl ProcCtx {
             }
             _ => {}
         }
-        let entry = &mut st.procs[pid.index()];
-        entry.wake_gen += 1; // invalidate stale timed wake-ups
-        let cell = Arc::clone(&entry.cell);
+        st.procs[pid.index()].wake_gen += 1; // invalidate stale timed wake-ups
         while let Some(idx) = st.procs[pid.index()].waiting_on.pop() {
             st.unlink_waiter(idx);
         }
         st.ready.retain(|&p| p != pid);
         st.finish(pid);
-        drop(st);
-        // Wake the thread so it can unwind; it will not touch kernel state
-        // (the cancel token makes `yield_to_kernel` resume-unwind).
-        cell.set(TOK_CANCEL);
+        st.cancelled.push(pid);
     }
 
-    /// Yields to the kernel and blocks until resumed.
+    /// Switches back to the kernel loop until the kernel resumes this
+    /// process.
     ///
     /// # Panics (internal)
     ///
-    /// Unwinds with a cancellation payload if the simulation is torn down
-    /// while this process is blocked.
+    /// Unwinds with a cancellation payload if the process is resumed to
+    /// be cancelled (by [`cancel`](ProcCtx::cancel) or at teardown).
     fn yield_to_kernel(&self) {
-        // Direct handoff: this thread drives the scheduler itself. Three
-        // outcomes, cheapest first: (a) this process is its own successor
-        // — keep running, zero context switches; (b) another process is
-        // next — pass the token straight to it, one switch, kernel stays
-        // asleep; (c) the kernel is needed — wake it. A chaos stall
-        // disables shortcut (a): the token round-trips through this
-        // process's own cell, exercising the set-then-wait slow path.
-        let target = {
-            let mut st = self.shared.state.lock();
-            match next_step(&self.shared, &mut st) {
-                Step::Resume(pid, _, false) if pid == self.pid => return,
-                Step::Resume(_, cell, stall) => Some((cell, stall)),
-                Step::Kernel => None,
-            }
-        };
-        match target {
-            Some((cell, stall)) => {
-                if stall {
-                    std::thread::yield_now();
-                }
-                cell.set(TOK_GO);
-            }
-            None => self.shared.kernel_cell.set(TOK_GO),
-        }
-        if self.cell.wait() != TOK_GO {
+        if coro::suspend() {
             // `resume_unwind` (not `panic_any`) so the global panic hook
             // does not fire for this expected control-flow unwind.
             panic::resume_unwind(Box::new(CancelUnwind));

@@ -31,8 +31,9 @@
 //!
 //! ## Semantics
 //!
-//! * At most one process executes at a time (strict token passing between
-//!   the kernel and process threads), so simulations are deterministic.
+//! * At most one process executes at a time: every process is a stackful
+//!   coroutine that the kernel resumes on the thread calling
+//!   [`Simulation::run`], so simulations are deterministic.
 //! * [`ProcCtx::notify`] has SpecC delta-cycle semantics: every process
 //!   waiting on the event when the current delta's runnable processes have
 //!   all yielded is resumed; then the notification expires. A `notify` with
@@ -48,6 +49,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 //! ## Robustness
 //!
@@ -58,7 +60,7 @@
 //!   dropped/duplicated notifications and spurious event releases
 //!   (see [`fault`]).
 //! * [`ChaosPlan`] — seeded, deterministic perturbation of *kernel*
-//!   scheduling decisions (same-delta dispatch order, handoff stalls) and
+//!   scheduling decisions (same-delta dispatch order) and
 //!   the opt-in [`KernelInvariants`] oracle checking the kernel's own
 //!   consistency at delta-flush and teardown boundaries (see [`chaos`]).
 //! * [`StallPolicy`] / [`RunError::Deadlock`] — wait-for-graph deadlock
@@ -72,6 +74,7 @@
 pub mod bus;
 pub mod channel;
 pub mod chaos;
+mod coro;
 mod error;
 pub mod fault;
 mod ids;
@@ -103,7 +106,6 @@ pub use fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitt
 pub use ids::{EventId, ProcessId};
 pub use kernel::{Child, ProcBody, ProcCtx, Report, Simulation, SimulationBuilder, StallPolicy};
 pub use rng::SmallRng;
-pub use sync::{ParkCell, WaitGroup};
 pub use time::SimTime;
 pub use trace::{
     CompactKind, CompactRecord, DecisionReason, Interner, KernelStats, LabelId, Record, RecordKind,

@@ -101,7 +101,7 @@ pub enum RecordKind {
         /// Debug name.
         name: String,
     },
-    /// A process received the run token (kernel record).
+    /// The kernel resumed a process (kernel record).
     ProcessResumed {
         /// Resumed process.
         pid: ProcessId,
@@ -530,7 +530,7 @@ pub struct KernelStats {
     pub events_notified: u64,
     /// Processes spawned over the run.
     pub processes_spawned: u64,
-    /// Run-token handoffs to a process.
+    /// Resumes of a process by the kernel loop.
     pub processes_resumed: u64,
     /// Process suspensions (wait / waitfor / join).
     pub processes_suspended: u64,
@@ -541,10 +541,10 @@ pub struct KernelStats {
     /// Kernel-level context switches (consecutive resumes of different
     /// processes).
     pub context_switches: u64,
-    /// Process spawns served by recycling a parked worker thread from the
-    /// process-global pool ([`crate::pool`]) instead of an OS
-    /// `thread::spawn`. Always ≤ `processes_spawned`.
-    pub threads_recycled: u64,
+    /// Processes started on a stack recycled from the process-global
+    /// stack pool ([`crate::pool`]) instead of a freshly mapped one.
+    /// Always ≤ `processes_spawned`.
+    pub stacks_recycled: u64,
     /// Host wall-clock time of the run loop.
     pub wall_time: Duration,
 }

@@ -82,7 +82,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     let empties = [
         ChaosPlan::none(),
         ChaosPlan::seeded(42),
-        ChaosPlan::seeded(7).with_reorder(0.0).with_stall(0.0),
+        ChaosPlan::seeded(7).with_reorder(0.0),
         ChaosPlan::seeded(9).with_reorder(1.0).with_window(3, 3),
     ];
     for plan in empties {
@@ -109,7 +109,7 @@ fn oracle_alone_does_not_change_the_schedule() {
 #[test]
 fn seeded_plans_replay_exactly() {
     for seed in 0..16u64 {
-        let plan = ChaosPlan::seeded(seed).with_reorder(0.5).with_stall(0.3);
+        let plan = ChaosPlan::seeded(seed).with_reorder(0.5);
         let a = run_workload(Some(plan.clone()), None);
         let b = run_workload(Some(plan), None);
         assert_eq!(a.0, b.0, "seed {seed}");
@@ -142,25 +142,9 @@ fn certain_reorder_actually_perturbs_dispatch_order() {
 }
 
 #[test]
-fn stalls_are_logged_and_do_not_change_results() {
-    let baseline = run_workload(None, None);
-    let run = run_workload(Some(ChaosPlan::seeded(5).with_stall(1.0)), None);
-    // Stalls are host-side only: simulated time, trace and wake order are
-    // untouched; only the chaos log shows them.
-    assert_eq!(run.0, baseline.0);
-    assert_eq!(run.1, baseline.1);
-    assert_eq!(run.3, baseline.3);
-    assert!(run
-        .2
-        .iter()
-        .all(|r| matches!(r.chaos, InjectedChaos::StalledHandoff { .. })));
-    assert!(!run.2.is_empty(), "certain stall must log");
-}
-
-#[test]
 fn oracle_stays_quiet_across_chaotic_seeds() {
     for seed in 0..32u64 {
-        let plan = ChaosPlan::seeded(seed).with_reorder(0.7).with_stall(0.5);
+        let plan = ChaosPlan::seeded(seed).with_reorder(0.7);
         let (_, _, _, log) = run_workload(Some(plan), Some(KernelInvariants::all()));
         assert_eq!(log.len(), 60, "seed {seed} lost wakeups");
     }
@@ -182,11 +166,7 @@ fn oracle_composes_with_fault_injection() {
                     .with_drop_notify(0.2)
                     .with_dup_notify(0.2),
             )
-            .chaos_plan(
-                ChaosPlan::seeded(seed ^ 0xC0FFEE)
-                    .with_reorder(0.6)
-                    .with_stall(0.4),
-            )
+            .chaos_plan(ChaosPlan::seeded(seed ^ 0xC0FFEE).with_reorder(0.6))
             .invariants(KernelInvariants::all())
             .build();
         let ev = sim.event_new();
@@ -243,4 +223,100 @@ fn injected_bug_is_caught_by_the_oracle() {
         }
     }
     assert!(caught, "injected bug never tripped the oracle");
+}
+
+#[test]
+fn reorder_only_chaos_log_is_pinned() {
+    // Captured from the thread-per-process kernel, when plans also had a
+    // handoff-stall knob drawing from a stream of its own. The reorder
+    // draws come from their own forked stream, so neither the removal of
+    // that knob nor the move to coroutines may move a single record:
+    // (time µs, decision, queue position, process index).
+    type Reorder = (u64, u64, u64, usize);
+    let pinned: [(u64, &[Reorder]); 2] = [
+        (
+            3,
+            &[
+                (0, 1, 1, 2),
+                (50, 8, 2, 3),
+                (50, 9, 1, 1),
+                (100, 12, 1, 1),
+                (200, 30, 1, 2),
+            ],
+        ),
+        (
+            11,
+            &[
+                (0, 0, 3, 3),
+                (50, 6, 1, 2),
+                (50, 9, 1, 1),
+                (100, 12, 2, 2),
+                (100, 16, 1, 1),
+                (150, 22, 1, 1),
+                (200, 29, 1, 2),
+            ],
+        ),
+    ];
+    for (seed, want) in pinned {
+        let mut sim = Simulation::builder()
+            .chaos_plan(ChaosPlan::seeded(seed).with_reorder(0.5))
+            .build();
+        let ev = sim.event_new();
+        sim.spawn(Child::new("ticker", move |ctx| {
+            for _ in 0..4 {
+                ctx.waitfor(us(50));
+                ctx.notify(ev);
+            }
+        }));
+        for i in 0..3usize {
+            sim.spawn(Child::new(format!("waiter{i}"), move |ctx| {
+                for _ in 0..4 {
+                    ctx.wait(ev);
+                    ctx.waitfor(Duration::ZERO);
+                }
+            }));
+        }
+        let report = sim.run().expect("workload runs clean");
+        let got: Vec<Reorder> = report
+            .chaos
+            .iter()
+            .map(|r| match r.chaos {
+                InjectedChaos::ReorderedDispatch {
+                    decision,
+                    position,
+                    process,
+                } => (r.at.as_micros(), decision, position, process.index()),
+                ref other => panic!("unexpected chaos record {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, want, "seed {seed}");
+    }
+}
+
+#[test]
+fn oracle_reports_a_body_that_outlives_its_cancellation() {
+    // A body that swallows the teardown's cancellation and suspends again
+    // keeps live frames on its stack: the stack can never be reused, and
+    // the pool-quiescence check must say which process did it.
+    let mut sim = Simulation::builder()
+        .invariants(KernelInvariants::all())
+        .build();
+    let e = sim.event_new();
+    sim.spawn(Child::new("stubborn", move |ctx| {
+        let wait = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.wait(e)));
+        assert!(
+            wait.is_err(),
+            "only the teardown's cancellation ends the wait"
+        );
+        ctx.waitfor(us(1));
+    }));
+    match sim.run() {
+        Err(sldl_sim::RunError::InvariantViolation {
+            invariant, subject, ..
+        }) => {
+            assert_eq!(invariant, "pool-quiescence");
+            assert!(subject.contains("stubborn"), "{subject}");
+        }
+        other => panic!("expected a pool-quiescence violation, got {other:?}"),
+    }
 }

@@ -473,3 +473,40 @@ fn dropping_unrun_simulation_is_clean() {
     }));
     drop(sim); // must not hang or leak a blocked thread
 }
+
+#[test]
+fn handles_stay_send_and_sync() {
+    // Processes are coroutines on the caller's thread, but the handles a
+    // model holds may still cross threads (a farm worker builds and runs
+    // its own simulation), so none of them may lose `Send` or `Sync`.
+    fn send_sync<T: Send + Sync>() {}
+    fn send<T: Send>() {}
+    send_sync::<Simulation>();
+    send_sync::<sldl_sim::ProcCtx>();
+    send_sync::<sldl_sim::SldlSync>();
+    send::<Child>();
+}
+
+#[test]
+fn a_process_may_run_a_nested_simulation() {
+    // A body that runs a whole simulation of its own: the nested kernel
+    // loop resumes its processes from the outer process's stack, and each
+    // suspension returns to the loop that resumed it.
+    let mut sim = Simulation::new();
+    let inner_end = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&inner_end);
+    sim.spawn(Child::new("outer", move |ctx| {
+        ctx.waitfor(us(3));
+        let mut inner = Simulation::new();
+        inner.spawn(Child::new("inner", |ictx| {
+            ictx.waitfor(us(7));
+            ictx.waitfor(us(7));
+        }));
+        let report = inner.run().expect("nested simulation runs clean");
+        seen.store(report.end_time.as_micros(), Ordering::SeqCst);
+        ctx.waitfor(us(3));
+    }));
+    let report = sim.run().unwrap();
+    assert_eq!(report.end_time, SimTime::from_micros(6));
+    assert_eq!(inner_end.load(Ordering::SeqCst), 14);
+}
