@@ -1,87 +1,121 @@
-//! Chaos torture sweep **C1**: the kernel under seeded schedule
-//! perturbation × fault injection, with the invariant oracle armed and an
-//! auto-shrinking minimal-repro pipeline.
+//! Chaos torture sweep **C1**: every same-delta dispatch schedule of the
+//! kernel, under fault injection, with the invariant oracle armed.
 //!
-//! The matrix is `(workload × ChaosPlan × FaultPlan × seed)`: the vocoder
-//! architecture and unscheduled models and a synthetic periodic task set
-//! each run under dispatch-reorder chaos combined with notify-drop,
-//! notify-dup and WCET-jitter faults, every point with
-//! [`KernelInvariants::all`] and the RTOS scheduler-conformance checks
-//! armed. Model-level failures (watchdog expiries, detected deadlocks)
-//! are *expected* under faults and count as clean outcomes; a **chaos
+//! The matrix is `(workload × FaultPlan × seed)`: the vocoder
+//! architecture and unscheduled models and a synthetic periodic task set,
+//! each clean and under notify-drop, notify-dup and WCET-jitter faults.
+//! The seed keys the fault draws and the task-set generation. Each point
+//! enumerates its run's schedules with [`explore`]: rounds of 0, 1, 2, …
+//! non-FIFO picks at the kernel's choice points, up to [`MAX_PICKS`],
+//! every run with [`KernelInvariants::all`] and the RTOS
+//! scheduler-conformance checks armed. A point reports `schedules` (runs
+//! made) and `complete` (1 when that was every schedule).
+//!
+//! Model-level failures (watchdog expiries, detected deadlocks) are
+//! *expected* under faults and count as clean outcomes; a **chaos
 //! failure** is a kernel invariant violation, a panic, or a point
-//! exceeding the wall-clock watchdog — the farm quarantines the latter
-//! two as `degraded` instead of aborting the sweep.
+//! exceeding the wall-clock watchdog, which the farm quarantines as
+//! `degraded` instead of aborting the sweep. The first failure is written
+//! as a `rtos-sld-chaos-repro/2` artifact ([`Repro`]): the failing
+//! [`ScenarioSpec`], schedule included. No failing schedule of its point
+//! has fewer non-FIFO picks, so it needs no shrinking. `--repro PATH`
+//! replays it.
 //!
-//! When a failure is found (and `--shrink 1`, the default), the first one
-//! is minimized through four stages — drop entire fault kinds, halve the
-//! surviving rates (floor 0.01), bisect the workload size, narrow the
-//! chaos dispatch-decision window — and the result is written as a
-//! `rtos-sld-chaos-repro/1` JSON artifact ([`bench::repro::Repro`])
-//! replayable with `--repro PATH`: one seed plus two plans reproduce the
-//! failure.
-//!
-//! The matrix itself is a set of declarative [`ScenarioSpec`] points on
-//! the shared [`SweepApp`] skeleton (watchdog-guarded farm, `--json`
-//! document, incremental `--cache-dir` reruns); the shrinker and replay
-//! pipeline stay bin-local.
+//! The matrix is a set of declarative points on the shared [`SweepApp`]
+//! skeleton (watchdog-guarded farm, `--json` document, incremental
+//! `--cache-dir` reruns, keyed apart from plain runs of the same specs).
 //!
 //! Run with `cargo run -p bench --bin chaos -- [--frames N] [--seeds N]
-//! [--jobs N] [--seed S] [--oracle 0|1] [--shrink 0|1]
-//! [--watchdog-us US] [--repro-out PATH] [--repro PATH] [--json PATH]
-//! [--cache-dir DIR] [--quiet]`. Exits nonzero iff chaos failures were
-//! found (or, in `--repro` mode, iff the artifact fails to reproduce).
+//! [--jobs N] [--seed S] [--watchdog-us US] [--repro-out PATH]
+//! [--repro PATH] [--json PATH] [--cache-dir DIR] [--quiet]`. Exits
+//! nonzero iff chaos failures were found (or, in `--repro` mode, iff the
+//! artifact fails to reproduce).
 
 #![forbid(unsafe_code)]
 
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bench::cli::{self, SweepApp, SweepPoint};
-use bench::farm::{derive_seed, run_guarded, DegradedKind, Guarded, PointResult};
+use bench::farm::{derive_seed, panic_message, run_guarded, DegradedKind, Guarded, PointResult};
 use bench::json::Json;
-use bench::repro::{self, FailureKind, Repro};
-use bench::scenario::{ScenarioOutcome, ScenarioSpec};
+use bench::repro::{FailureKind, Repro};
+use bench::scenario::{ScenarioOutcome, ScenarioSpec, Workload};
 use bench::TextTable;
+use sldl_sim::chaos::explore;
 use sldl_sim::prelude::*;
 
 const ABOUT: &str =
-    "C1: chaos torture matrix (seed x ChaosPlan x FaultPlan) with auto-shrinking minimal repro";
+    "C1: chaos torture matrix (workload x FaultPlan x seed), every same-delta schedule per point";
 
-/// Upper bound on shrink trials; each trial is one guarded simulation.
-const MAX_SHRINK_TRIALS: usize = 240;
+/// Most non-FIFO picks in an enumerated schedule. No schedule of the
+/// default matrix needs more than 6; a point that would is reported
+/// incomplete.
+const MAX_PICKS: usize = 8;
 
-/// Smallest rate the halving stage will leave active.
-const RATE_FLOOR: f64 = 0.01;
-
-fn build_spec(
-    workload: &str,
-    frames: usize,
-    faults: &FaultPlan,
-    chaos: &ChaosPlan,
-    oracle: bool,
-) -> ScenarioSpec {
-    let w = repro::workload(workload, frames).expect("known workload name");
-    ScenarioSpec::new(format!("chaos/{workload}"), w)
-        .frames(frames)
-        .faults(faults.clone())
-        .chaos(chaos.clone())
-        .oracle(oracle)
+/// The matrix workloads. Size is `frames` vocoder frames, or a task-set
+/// horizon of `frames × 10 ms`.
+fn workloads(frames: usize) -> [(&'static str, Workload); 3] {
+    [
+        ("vocoder", Workload::VocoderArchitecture),
+        // The unscheduled model's queues ride the plain kernel sync layer
+        // (`ctx.notify`), so it is the workload that exposes kernel-level
+        // notify faults to the oracle; the architecture model implements
+        // RTOS events above the kernel.
+        ("vocoder_unsched", Workload::VocoderUnscheduled),
+        (
+            "task_set",
+            Workload::TaskSet {
+                tasks: 4,
+                utilization: 0.85,
+                horizon_us: frames as u64 * 10_000,
+            },
+        ),
+    ]
 }
 
-/// Classifies a completed outcome: invariant violations are failures;
-/// model-level errors (watchdogs, deadlocks) are expected under faults.
-fn classify_outcome(o: &ScenarioOutcome) -> Option<(FailureKind, String)> {
-    (!o.completed && o.status.starts_with("kernel invariant"))
-        .then(|| (FailureKind::Invariant, o.status.clone()))
+/// One run of `spec`: its choice-point log (`None` after a model-level
+/// error, which leaves none), or the chaos failure.
+fn run_schedule(spec: &ScenarioSpec) -> Result<Option<Vec<ChoicePoint>>, (FailureKind, String)> {
+    let (outcome, choices) = std::panic::catch_unwind(AssertUnwindSafe(|| spec.run_with_choices()))
+        .map_err(|payload| (FailureKind::Panicked, panic_message(payload.as_ref())))?;
+    if !outcome.completed && outcome.status.starts_with("kernel invariant") {
+        return Err((FailureKind::Invariant, outcome.status));
+    }
+    Ok(choices)
+}
+
+/// Enumerates the schedules of `spec`; the failure, if any, comes first.
+fn explore_spec(spec: &ScenarioSpec) -> sldl_sim::chaos::Exploration<(FailureKind, String)> {
+    explore(MAX_PICKS, |plan| {
+        run_schedule(&spec.clone().chaos(plan.clone()))
+    })
+}
+
+/// The per-point runner. A failing schedule makes the outcome's status
+/// `"{kind}: {message}"`.
+fn enumerate(spec: &ScenarioSpec) -> ScenarioOutcome {
+    let e = explore_spec(spec);
+    let mut o = ScenarioOutcome::completed([
+        ("schedules", e.schedules as f64),
+        ("complete", f64::from(u8::from(e.complete))),
+    ]);
+    if let Some((_, (kind, message))) = e.failure {
+        o.completed = false;
+        o.status = format!("{}: {message}", kind.as_str());
+    }
+    o
 }
 
 fn classify(outcome: &PointResult<ScenarioOutcome>) -> Option<(FailureKind, String)> {
     match outcome {
-        PointResult::Completed(o) => classify_outcome(o),
+        PointResult::Completed(o) => {
+            let (kind, message) = o.status.split_once(": ")?;
+            Some((FailureKind::parse(kind)?, message.to_string()))
+        }
         PointResult::Degraded(d) => {
             let kind = match d.kind {
-                DegradedKind::Panicked => FailureKind::Panicked,
                 DegradedKind::Overtime => FailureKind::Overtime,
                 // `DegradedKind` is #[non_exhaustive]; treat future kinds
                 // as the most severe class until given their own bucket.
@@ -92,238 +126,61 @@ fn classify(outcome: &PointResult<ScenarioOutcome>) -> Option<(FailureKind, Stri
     }
 }
 
-/// Runs one candidate configuration on a guarded thread and classifies
-/// the result the same way the sweep does.
-fn run_candidate(
-    workload: &str,
-    frames: usize,
-    seed: u64,
-    faults: &FaultPlan,
-    chaos: &ChaosPlan,
-    watchdog: Duration,
-) -> Option<(FailureKind, String)> {
-    let spec = build_spec(workload, frames, faults, chaos, true);
-    match run_guarded(watchdog, move || spec.run_seeded(seed)) {
-        Guarded::Finished(o) => classify_outcome(&o),
-        Guarded::Panicked(message) => Some((FailureKind::Panicked, message)),
-        Guarded::Overtime => Some((
-            FailureKind::Overtime,
-            format!("exceeded the {} ms watchdog", watchdog.as_millis()),
-        )),
+/// The repro artifact of a failing point. Enumerating the point again
+/// yields the failing schedule of an invariant violation or panic. A
+/// point the watchdog abandoned names no schedule, so its artifact holds
+/// the armed FIFO schedule.
+fn repro(spec: ScenarioSpec, kind: FailureKind, message: String) -> Repro {
+    if kind != FailureKind::Overtime {
+        if let Some((plan, (kind, message))) = explore_spec(&spec).failure {
+            return Repro {
+                spec: spec.chaos(plan),
+                kind,
+                message,
+            };
+        }
+    }
+    Repro {
+        spec: spec.chaos(ChaosPlan::schedule([])),
+        kind,
+        message,
     }
 }
 
-/// The automatic minimizer: four stages, each keeping a candidate only if
-/// the *same failure kind* still reproduces.
-struct Shrinker {
-    repro: Repro,
-    watchdog: Duration,
-    trials: usize,
-}
-
-impl Shrinker {
-    fn new(repro: Repro, watchdog: Duration) -> Self {
-        Shrinker {
-            repro,
-            watchdog,
-            trials: 0,
-        }
-    }
-
-    fn still_fails(&mut self, frames: usize, faults: &FaultPlan, chaos: &ChaosPlan) -> bool {
-        if self.trials >= MAX_SHRINK_TRIALS {
-            return false;
-        }
-        self.trials += 1;
-        let (workload, seed) = (self.repro.workload.clone(), self.repro.seed);
-        matches!(
-            run_candidate(&workload, frames, seed, faults, chaos, self.watchdog),
-            Some((kind, _)) if kind == self.repro.kind
-        )
-    }
-
-    /// Stage 1: drop entire fault kinds while the failure persists.
-    fn drop_fault_kinds(&mut self) {
-        loop {
-            let mut changed = false;
-            if self.repro.faults.wcet.is_some() {
-                let mut f = self.repro.faults.clone();
-                f.wcet = None;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if self.repro.faults.drop_notify > 0.0 {
-                let mut f = self.repro.faults.clone();
-                f.drop_notify = 0.0;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if self.repro.faults.dup_notify > 0.0 {
-                let mut f = self.repro.faults.clone();
-                f.dup_notify = 0.0;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if !self.repro.faults.spurious.is_empty() {
-                let mut f = self.repro.faults.clone();
-                f.spurious.clear();
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    /// Stage 2: halve every surviving rate while the failure persists
-    /// (floor [`RATE_FLOOR`]).
-    fn halve_rates(&mut self) {
-        let fault_fields: [fn(&mut FaultPlan) -> Option<&mut f64>; 3] = [
-            |f| f.wcet.as_mut().map(|w: &mut WcetJitter| &mut w.probability),
-            |f| Some(&mut f.drop_notify),
-            |f| Some(&mut f.dup_notify),
-        ];
-        for get in fault_fields {
-            loop {
-                let mut f = self.repro.faults.clone();
-                let Some(rate) = get(&mut f) else { break };
-                if *rate / 2.0 < RATE_FLOOR {
-                    break;
-                }
-                *rate /= 2.0;
-                let (frames, chaos) = (self.repro.frames, self.repro.chaos.clone());
-                if self.still_fails(frames, &f, &chaos) {
-                    self.repro.faults = f;
-                } else {
-                    break;
-                }
-            }
-        }
-        while self.repro.chaos.reorder / 2.0 >= RATE_FLOOR {
-            let mut c = self.repro.chaos.clone();
-            c.reorder /= 2.0;
-            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-            if self.still_fails(frames, &faults, &c) {
-                self.repro.chaos = c;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Stage 3: bisect the workload size down to the smallest failing
-    /// frame count.
-    fn bisect_frames(&mut self) {
-        let (mut lo, mut hi) = (1usize, self.repro.frames);
-        // Invariant: `hi` frames reproduce the failure.
-        while lo < hi {
-            let mid = usize::midpoint(lo, hi);
-            let (faults, chaos) = (self.repro.faults.clone(), self.repro.chaos.clone());
-            if self.still_fails(mid, &faults, &chaos) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        self.repro.frames = hi;
-    }
-
-    /// Stage 4: narrow the chaos dispatch-decision window — smallest
-    /// power-of-two `hi` with `[0, hi)` still failing, then binary-search
-    /// `lo` upward.
-    fn narrow_window(&mut self) {
-        let mut hi = 1u64;
-        let mut found = None;
-        while hi <= 1 << 20 && self.trials < MAX_SHRINK_TRIALS {
-            let c = self.repro.chaos.clone().with_window(0, hi);
-            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-            if self.still_fails(frames, &faults, &c) {
-                found = Some(hi);
-                break;
-            }
-            hi *= 2;
-        }
-        let Some(hi) = found else { return };
-        self.repro.chaos = self.repro.chaos.clone().with_window(0, hi);
-        // Invariant: `[lo, hi)` reproduces the failure.
-        let (mut lo, mut bound) = (0u64, hi);
-        while lo + 1 < bound {
-            let mid = u64::midpoint(lo, bound);
-            let c = self.repro.chaos.clone().with_window(mid, hi);
-            let (frames, faults) = (self.repro.frames, self.repro.faults.clone());
-            if self.still_fails(frames, &faults, &c) {
-                lo = mid;
-            } else {
-                bound = mid;
-            }
-        }
-        self.repro.chaos = self.repro.chaos.clone().with_window(lo, hi);
-    }
-
-    fn shrink(mut self) -> (Repro, usize) {
-        self.drop_fault_kinds();
-        self.halve_rates();
-        self.bisect_frames();
-        self.narrow_window();
-        (self.repro, self.trials)
-    }
-}
-
-/// `--repro PATH` mode: replay a minimal-repro artifact and report
-/// whether the recorded failure kind reproduces.
+/// `--repro PATH` mode: replay a repro artifact and report whether the
+/// recorded failure kind reproduces.
 fn replay(path: &Path, watchdog: Duration, quiet: bool) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {}: {e}", path.display());
-            return 1;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: parsing {}: {e}", path.display());
-            return 1;
-        }
-    };
-    let repro = match Repro::from_json(&doc) {
+    let repro = std::fs::read_to_string(path)
+        .map_err(|e| format!("reading {}: {e}", path.display()))
+        .and_then(|text| Json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display())))
+        .and_then(|doc| Repro::from_json(&doc).map_err(|e| format!("invalid repro artifact: {e}")));
+    let repro = match repro {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: invalid repro artifact: {e}");
+            eprintln!("error: {e}");
             return 1;
         }
     };
     if !quiet {
         println!(
-            "replaying {}: workload={} frames={} seed={} (expecting {})",
+            "replaying {}: {} frames={} seed={} picks={:?} (expecting {})",
             path.display(),
-            repro.workload,
-            repro.frames,
-            repro.seed,
+            repro.spec.name,
+            repro.spec.frames,
+            repro.spec.seed,
+            repro.spec.chaos.picks(),
             repro.kind.as_str()
         );
     }
-    let observed = run_candidate(
-        &repro.workload,
-        repro.frames,
-        repro.seed,
-        &repro.faults,
-        &repro.chaos,
-        watchdog,
-    );
+    let spec = repro.spec.clone();
+    let observed = match run_guarded(watchdog, move || run_schedule(&spec)) {
+        Guarded::Finished(r) => r.err(),
+        Guarded::Panicked(message) => Some((FailureKind::Panicked, message)),
+        Guarded::Overtime => Some((
+            FailureKind::Overtime,
+            format!("exceeded the {} ms watchdog", watchdog.as_millis()),
+        )),
+    };
     match observed {
         Some((kind, message)) if kind == repro.kind => {
             if !quiet {
@@ -349,12 +206,11 @@ fn replay(path: &Path, watchdog: Duration, quiet: bool) -> i32 {
     }
 }
 
-/// The labels defining one torture-matrix member; the runnable spec
-/// lives in the parallel [`SweepPoint`] at the same index.
+/// The labels of one torture-matrix point; the runnable spec lives in
+/// the parallel [`SweepPoint`] at the same index.
 #[derive(Debug, Clone, Copy)]
 struct CellLabel {
     workload: &'static str,
-    chaos_name: &'static str,
     fault_name: &'static str,
 }
 
@@ -365,8 +221,6 @@ fn main() {
         0xC1,
         &[
             ("seeds", "N", "seeds per matrix cell (default 6)"),
-            ("oracle", "0|1", "arm the invariant oracle (default 1)"),
-            ("shrink", "0|1", "auto-shrink the first failure (default 1)"),
             (
                 "watchdog-us",
                 "US",
@@ -375,12 +229,12 @@ fn main() {
             (
                 "repro-out",
                 "PATH",
-                "where to write the minimal-repro artifact (default chaos_repro.json)",
+                "where to write the repro artifact (default chaos_repro.json)",
             ),
             (
                 "repro",
                 "PATH",
-                "replay a minimal-repro artifact instead of sweeping",
+                "replay a repro artifact instead of sweeping",
             ),
         ],
     );
@@ -391,15 +245,12 @@ fn main() {
 
     let frames = args.frames.unwrap_or(4);
     let seeds: usize = args.extra_or("seeds", 6);
-    let oracle = args.extra_or("oracle", 1u8) != 0;
-    let shrink = args.extra_or("shrink", 1u8) != 0;
     let repro_out = PathBuf::from(
         args.extra("repro-out")
             .unwrap_or("chaos_repro.json")
             .to_string(),
     );
 
-    let chaos_plans: [(&str, ChaosPlan); 1] = [("reorder", ChaosPlan::none().with_reorder(0.5))];
     let fault_plans: [(&str, FaultPlan); 4] = [
         ("clean", FaultPlan::none()),
         ("drop", FaultPlan::none().with_drop_notify(0.3)),
@@ -407,43 +258,42 @@ fn main() {
         ("jitter", FaultPlan::none().with_wcet_jitter(0.3, 2.0)),
     ];
 
-    const WORKLOADS: [&str; 3] = ["vocoder", "vocoder_unsched", "task_set"];
+    let matrix = workloads(frames);
     let mut labels: Vec<CellLabel> = Vec::new();
     let mut points: Vec<SweepPoint> = Vec::new();
-    for workload in WORKLOADS {
-        for (chaos_name, chaos) in &chaos_plans {
-            for (fault_name, faults) in &fault_plans {
-                for seed_idx in 0..seeds {
-                    labels.push(CellLabel {
-                        workload,
-                        chaos_name,
-                        fault_name,
-                    });
-                    points.push(
-                        SweepPoint::new(build_spec(workload, frames, faults, chaos, oracle))
-                            .named(format!("{workload}/{chaos_name}/{fault_name}/s{seed_idx}"))
-                            .param("workload", Json::str(workload))
-                            .param("chaos", Json::str(*chaos_name))
-                            .param("faults", Json::str(*fault_name)),
-                    );
-                }
+    for &(workload, ref w) in &matrix {
+        for (fault_name, faults) in &fault_plans {
+            for seed_idx in 0..seeds {
+                labels.push(CellLabel {
+                    workload,
+                    fault_name,
+                });
+                let spec = ScenarioSpec::new(format!("chaos/{workload}"), w.clone())
+                    .frames(frames)
+                    .faults(faults.clone())
+                    .oracle(true);
+                points.push(
+                    SweepPoint::new(spec)
+                        .named(format!("{workload}/{fault_name}/s{seed_idx}"))
+                        .param("workload", Json::str(workload))
+                        .param("faults", Json::str(*fault_name)),
+                );
             }
         }
     }
 
-    // The per-point seed (derived from --seed and the point index)
-    // re-keys both plans, so every cell draws `--seeds` independent
-    // perturbation/fault streams.
+    // The per-point seed is derived from --seed and the point index, so
+    // every cell draws `--seeds` independent fault streams and task sets.
     let app = SweepApp::new("chaos", args)
         .header("frames", Json::U64(frames as u64))
         .header("seeds_per_cell", Json::U64(seeds as u64))
-        .header("oracle", Json::Bool(oracle))
-        .watchdog(watchdog);
+        .header("max_picks", Json::U64(MAX_PICKS as u64))
+        .watchdog(watchdog)
+        .runner("enumerate", enumerate);
     let run = app.run(&points);
 
     struct Failure {
         index: usize,
-        seed: u64,
         kind: FailureKind,
         message: String,
     }
@@ -454,7 +304,6 @@ fn main() {
         .filter_map(|(index, outcome)| {
             classify(outcome).map(|(kind, message)| Failure {
                 index,
-                seed: derive_seed(app.args.seed, index as u64),
                 kind,
                 message,
             })
@@ -463,54 +312,59 @@ fn main() {
 
     if !app.args.quiet {
         println!(
-            "C1: chaos torture matrix — {} points ({} workloads x {} chaos x {} faults x \
-             {seeds} seeds), frames={frames}, oracle={}\n",
+            "C1: chaos torture matrix — {} points ({} workloads x {} faults x {seeds} seeds), \
+             frames={frames}, every schedule up to {MAX_PICKS} non-FIFO picks\n",
             points.len(),
-            WORKLOADS.len(),
-            chaos_plans.len(),
+            matrix.len(),
             fault_plans.len(),
-            if oracle { "on" } else { "off" }
         );
         let mut t = TextTable::new();
-        t.row(["workload", "chaos", "faults", "runs", "clean", "failures"]);
-        for workload in WORKLOADS {
-            for (chaos_name, _) in &chaos_plans {
-                for (fault_name, _) in &fault_plans {
-                    let cell: Vec<usize> = labels
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, l)| {
-                            l.workload == workload
-                                && l.chaos_name == *chaos_name
-                                && l.fault_name == *fault_name
-                        })
-                        .map(|(i, _)| i)
-                        .collect();
-                    let failed = cell
-                        .iter()
-                        .filter(|i| failures.iter().any(|f| f.index == **i))
-                        .count();
-                    t.row([
-                        workload.to_string(),
-                        (*chaos_name).to_string(),
-                        (*fault_name).to_string(),
-                        cell.len().to_string(),
-                        (cell.len() - failed).to_string(),
-                        failed.to_string(),
-                    ]);
-                }
-            }
+        t.row([
+            "workload",
+            "faults",
+            "points",
+            "schedules",
+            "per point",
+            "complete",
+            "failures",
+        ]);
+        for (cell, chunk) in run.outcomes.chunks(seeds.max(1)).enumerate() {
+            let l = labels[cell * seeds];
+            let counts: Vec<f64> = chunk
+                .iter()
+                .filter_map(|o| o.as_completed()?.metric("schedules"))
+                .collect();
+            let complete = chunk
+                .iter()
+                .filter(|o| o.as_completed().and_then(|o| o.metric("complete")) == Some(1.0))
+                .count();
+            let failed = chunk.iter().filter(|o| classify(o).is_some()).count();
+            let (lo, hi) = counts.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
+                (lo.min(c), hi.max(c))
+            });
+            t.row([
+                l.workload.to_string(),
+                l.fault_name.to_string(),
+                chunk.len().to_string(),
+                counts.iter().sum::<f64>().to_string(),
+                if counts.is_empty() {
+                    "-".to_string()
+                } else {
+                    format!("{lo}–{hi}")
+                },
+                complete.to_string(),
+                failed.to_string(),
+            ]);
         }
         print!("{}", t.render());
         for f in &failures {
             let l = &labels[f.index];
             println!(
-                "\nfailure: point {} ({}/{}/{} seed {}): {} — {}",
+                "\nfailure: point {} ({}/{} seed {}): {} — {}",
                 f.index,
                 l.workload,
-                l.chaos_name,
                 l.fault_name,
-                f.seed,
+                derive_seed(app.args.seed, f.index as u64),
                 f.kind.as_str(),
                 f.message
             );
@@ -526,63 +380,34 @@ fn main() {
         return;
     }
 
-    // Prefer shrinking a deterministic failure (invariant/panic) over an
-    // overtime one — a hang is reproducible too, but every shrink trial
-    // would cost a full watchdog timeout.
+    // Prefer a deterministic failure (invariant/panic), whose artifact
+    // names its schedule, over an overtime one.
     let first = failures
         .iter()
         .find(|f| f.kind != FailureKind::Overtime)
         .unwrap_or(&failures[0]);
-    if shrink {
-        let l = &labels[first.index];
-        let repro = Repro {
-            workload: l.workload.to_string(),
-            frames,
-            seed: first.seed,
-            faults: fault_plans
-                .iter()
-                .find(|(n, _)| *n == l.fault_name)
-                .map(|(_, f)| f.clone())
-                .unwrap_or_else(FaultPlan::none),
-            chaos: chaos_plans
-                .iter()
-                .find(|(n, _)| *n == l.chaos_name)
-                .map(|(_, c)| c.clone())
-                .unwrap_or_else(ChaosPlan::none),
-            kind: first.kind,
-            message: first.message.clone(),
-        };
-        if !app.args.quiet {
+    let spec = points[first.index]
+        .spec
+        .clone()
+        .seeded(derive_seed(app.args.seed, first.index as u64));
+    let repro = repro(spec, first.kind, first.message.clone());
+    match repro.to_json().write_to(&repro_out) {
+        Ok(()) if !app.args.quiet => {
             println!(
-                "\nshrinking failure at point {} ({} — {})...",
+                "\nrepro: point {} ({}), {} non-FIFO picks {:?}",
                 first.index,
-                first.kind.as_str(),
-                first.message
+                repro.kind.as_str(),
+                repro.spec.chaos.picks().len(),
+                repro.spec.chaos.picks()
+            );
+            println!(
+                "wrote {} — replay with: cargo run -p bench --bin chaos -- --repro {}",
+                repro_out.display(),
+                repro_out.display()
             );
         }
-        let (minimal, trials) = Shrinker::new(repro, watchdog).shrink();
-        match minimal.to_json().write_to(&repro_out) {
-            Ok(()) => {
-                if !app.args.quiet {
-                    let active_kinds = usize::from(minimal.faults.wcet.is_some())
-                        + usize::from(minimal.faults.drop_notify > 0.0)
-                        + usize::from(minimal.faults.dup_notify > 0.0);
-                    println!(
-                        "minimal repro ({trials} trials): frames={} fault_kinds={} \
-                         reorder={:.3} window={:?}",
-                        minimal.frames, active_kinds, minimal.chaos.reorder, minimal.chaos.window
-                    );
-                    println!(
-                        "wrote {} — replay with: cargo run -p bench --bin chaos -- --repro {}",
-                        repro_out.display(),
-                        repro_out.display()
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", repro_out.display());
-            }
-        }
+        Ok(()) => {}
+        Err(e) => eprintln!("error: writing {}: {e}", repro_out.display()),
     }
     eprintln!(
         "error: {} chaos failure(s) across {} points",

@@ -7,7 +7,7 @@
 //! |--------------------------|----------------------------------------|------------------------------------------------|
 //! | `rtos-sld-bench/1`       | `results::ResultsDoc::from_json`       | it re-renders to the file's bytes              |
 //! | `rtos-sld-cache/1`       | `cache::decode_entry`                  | schema, key (file stem), payload hash, outcome |
-//! | `rtos-sld-chaos-repro/1` | `repro::Repro::from_json`              | every replay coordinate parses                 |
+//! | `rtos-sld-chaos-repro/2` | `repro::Repro::from_json`              | the failing spec and its failure parse         |
 //! | `rtos-sld-analysis/1`    | `analyze::Analysis::check_json`        | sections typed, no dropped records             |
 //! | none (Chrome trace)      | `analyze::TraceData::from_chrome_json` | it ingests                                     |
 //!
@@ -276,18 +276,14 @@ mod tests {
 
     #[test]
     fn chaos_repro_artifacts_are_validated() {
-        let ok = r#"{"schema":"rtos-sld-chaos-repro/1","bench":"chaos","workload":"vocoder",
-            "frames":4,"seed":7,
-            "failure":{"kind":"invariant","message":"delta went backwards"},
-            "fault_plan":{"wcet_probability":0,"wcet_max_stretch":0,
-                          "drop_notify":0.075,"dup_notify":0},
-            "chaos_plan":{"reorder":0.5,"window":[0,8]}}"#;
-        assert!(check(ok).is_ok(), "{:?}", check(ok));
+        let ok = golden("fixtures/chaos_repro.json");
+        assert!(check(&ok).is_ok(), "{:?}", check(&ok));
         assert!(check(&ok.replace("\"invariant\"", "\"cosmic-rays\"")).is_err());
-        let missing_plan = r#"{"schema":"rtos-sld-chaos-repro/1","workload":"vocoder","frames":4,
-            "seed":7,"failure":{"kind":"invariant","message":"x"},
-            "chaos_plan":{"reorder":0}}"#;
-        assert!(check(missing_plan).is_err());
+        // The artifact's seed is the spec's.
+        assert!(check(&ok.replacen("\"seed\": ", "\"seed\": 1", 1)).is_err());
+        // A pick is a [choice, position] pair.
+        assert!(check(&ok.replace("\"chaos\": []", "\"chaos\": [[3]]")).is_err());
+        assert!(check(&ok.replace("\"chaos\": []", "\"chaos\": [[3, 1]]")).is_ok());
     }
 
     #[test]

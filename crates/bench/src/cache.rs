@@ -265,6 +265,15 @@ impl ScenarioCache {
         &self.stats
     }
 
+    /// Keys this cache's entries under `runner` as well, so outcomes of
+    /// a point runner other than [`ScenarioSpec::run`] never answer a
+    /// plain run of the same spec, nor the reverse.
+    #[must_use]
+    pub fn for_runner(mut self, runner: &str) -> Self {
+        self.salt = format!("{}|{runner}", self.salt);
+        self
+    }
+
     /// Overrides the build salt — test hook for exercising
     /// kernel-revision invalidation without rebuilding the crate.
     pub fn set_salt(&mut self, salt: impl Into<String>) {

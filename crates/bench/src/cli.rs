@@ -46,6 +46,10 @@ use crate::scenario::{ScenarioOutcome, ScenarioSpec};
 /// One binary-specific extra flag: `(--name, VALUE, help)`.
 pub type ExtraFlag = (&'static str, &'static str, &'static str);
 
+/// A sweep point runner other than [`ScenarioSpec::run`]; it gets the
+/// spec with the point's seed applied (see [`SweepApp::runner`]).
+pub type PointRunner = fn(&ScenarioSpec) -> ScenarioOutcome;
+
 /// Parsed command-line arguments shared by every bench binary.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -372,6 +376,7 @@ pub struct SweepApp {
     headers: Vec<(String, Json)>,
     watchdog: Option<Duration>,
     trace_point: usize,
+    runner: Option<(&'static str, PointRunner)>,
 }
 
 impl SweepApp {
@@ -385,6 +390,7 @@ impl SweepApp {
             headers: Vec::new(),
             watchdog: None,
             trace_point: 0,
+            runner: None,
         }
     }
 
@@ -404,6 +410,15 @@ impl SweepApp {
         self
     }
 
+    /// Runs every point through `runner` instead of
+    /// [`ScenarioSpec::run`]. `name` keys the runner's cache entries
+    /// apart from plain runs of the same specs.
+    #[must_use]
+    pub fn runner(mut self, name: &'static str, runner: PointRunner) -> Self {
+        self.runner = Some((name, runner));
+        self
+    }
+
     /// Selects which point `--trace-out` re-runs traced (default 0).
     #[must_use]
     pub fn trace_point(mut self, index: usize) -> Self {
@@ -419,10 +434,14 @@ impl SweepApp {
     #[must_use]
     pub fn run(&self, points: &[SweepPoint]) -> SweepRun {
         let cache = self.args.cache_dir.as_ref().map(|dir| {
-            ScenarioCache::open(dir).unwrap_or_else(|e| {
+            let cache = ScenarioCache::open(dir).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(2);
-            })
+            });
+            match self.runner {
+                Some((name, _)) => cache.for_runner(name),
+                None => cache,
+            }
         });
         let lookup = |ctx: PointCtx, p: &SweepPoint| {
             cache
@@ -438,11 +457,14 @@ impl SweepApp {
             lookup: &lookup,
             insert: &insert,
         });
-        let runner = |ctx: PointCtx, p: &SweepPoint| {
+        let run_one = self
+            .runner
+            .map_or(ScenarioSpec::run as PointRunner, |(_, r)| r);
+        let runner = move |ctx: PointCtx, p: &SweepPoint| {
             if p.prebaked_seed {
-                p.spec.run()
+                run_one(&p.spec)
             } else {
-                p.spec.run_seeded(ctx.seed)
+                run_one(&p.spec.clone().seeded(ctx.seed))
             }
         };
         let started = Instant::now();

@@ -160,7 +160,7 @@ pub fn partition<R>(outcomes: Vec<PointResult<R>>) -> (Vec<R>, Vec<DegradedPoint
 }
 
 /// Best-effort extraction of a human-readable panic message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -17,7 +17,7 @@
 //!   (`bench-results/<bin>.json`, schema `rtos-sld-bench/1`);
 //! * [`trace`] — the Chrome-trace-event / Perfetto JSON exporter behind
 //!   every binary's `--trace-out` flag;
-//! * [`repro`] — the `chaos` bin's replayable minimal-repro artifact.
+//! * [`repro`] — the `chaos` bin's replayable repro artifact.
 
 #![forbid(unsafe_code)]
 

@@ -1,40 +1,18 @@
-//! The chaos minimal-repro artifact, schema `rtos-sld-chaos-repro/1`.
+//! The chaos repro artifact, schema `rtos-sld-chaos-repro/2`.
 //!
-//! When the `chaos` bin's torture matrix finds a failure, its shrinker
-//! minimizes it to one seed plus two plans and writes a [`Repro`]
-//! replayable with `chaos --repro PATH`. This module is the artifact's
-//! only writer ([`Repro::to_json`]) and only reader
-//! ([`Repro::from_json`]); the replayer and `trace_lint` both parse
-//! through it.
-
-use sldl_sim::{ChaosPlan, FaultPlan};
+//! When the `chaos` bin's matrix finds a failure, it writes the failing
+//! run as a [`Repro`]: the [`ScenarioSpec`] that fails, in its canonical
+//! JSON (workload, frames, faults and the same-delta dispatch schedule
+//! included), its seed, and the failure. `chaos --repro PATH` replays it.
+//! This module is the artifact's only writer ([`Repro::to_json`]) and
+//! only reader ([`Repro::from_json`]); the replayer and `trace_lint` both
+//! parse through it.
 
 use crate::json::Json;
-use crate::scenario::Workload;
+use crate::scenario::ScenarioSpec;
 
 /// Artifact schema identifier.
-pub const REPRO_SCHEMA: &str = "rtos-sld-chaos-repro/1";
-
-/// Workload size is measured in "frames" uniformly: vocoder frames, or a
-/// task-set horizon of `frames × 10 ms` — one number the shrinker can
-/// bisect for either workload. `None` for an unknown name.
-#[must_use]
-pub fn workload(name: &str, frames: usize) -> Option<Workload> {
-    match name {
-        "vocoder" => Some(Workload::VocoderArchitecture),
-        // The unscheduled model's queues ride the plain kernel sync layer
-        // (`ctx.notify`), so it is the workload that exposes kernel-level
-        // notify faults to the oracle; the architecture model implements
-        // RTOS events above the kernel.
-        "vocoder_unsched" => Some(Workload::VocoderUnscheduled),
-        "task_set" => Some(Workload::TaskSet {
-            tasks: 4,
-            utilization: 0.85,
-            horizon_us: frames as u64 * 10_000,
-        }),
-        _ => None,
-    }
-}
+pub const REPRO_SCHEMA: &str = "rtos-sld-chaos-repro/2";
 
 /// What the torture sweep counts as a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +20,7 @@ pub enum FailureKind {
     /// The invariant oracle rejected the run
     /// (`RunError::InvariantViolation`).
     Invariant,
-    /// The point panicked and was quarantined by the farm.
+    /// The run panicked.
     Panicked,
     /// The point exceeded the wall-clock watchdog and was abandoned.
     Overtime,
@@ -71,20 +49,12 @@ impl FailureKind {
     }
 }
 
-/// A fully specified, one-line-replayable failing configuration.
+/// A fully specified, one-line-replayable failing run.
 #[derive(Debug, Clone)]
 pub struct Repro {
-    /// Workload name, one of those [`workload`] knows.
-    pub workload: String,
-    /// Workload size in frames.
-    pub frames: usize,
-    /// The per-point seed that re-keys both plans.
-    pub seed: u64,
-    /// Injected faults.
-    pub faults: FaultPlan,
-    /// Schedule perturbation.
-    pub chaos: ChaosPlan,
-    /// The failure the configuration reproduces.
+    /// The failing run, seed and dispatch schedule included.
+    pub spec: ScenarioSpec,
+    /// The failure the run reproduces.
     pub kind: FailureKind,
     /// The failure's message when it was found.
     pub message: String,
@@ -94,14 +64,9 @@ impl Repro {
     /// Renders the artifact.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let wcet_p = self.faults.wcet.as_ref().map_or(0.0, |w| w.probability);
-        let wcet_s = self.faults.wcet.as_ref().map_or(0.0, |w| w.max_stretch);
         Json::obj([
             ("schema", Json::str(REPRO_SCHEMA)),
-            ("bench", Json::str("chaos")),
-            ("workload", Json::str(&self.workload)),
-            ("frames", Json::U64(self.frames as u64)),
-            ("seed", Json::U64(self.seed)),
+            ("seed", Json::U64(self.spec.seed)),
             (
                 "failure",
                 Json::obj([
@@ -109,27 +74,7 @@ impl Repro {
                     ("message", Json::str(&self.message)),
                 ]),
             ),
-            (
-                "fault_plan",
-                Json::obj([
-                    ("wcet_probability", Json::Num(wcet_p)),
-                    ("wcet_max_stretch", Json::Num(wcet_s)),
-                    ("drop_notify", Json::Num(self.faults.drop_notify)),
-                    ("dup_notify", Json::Num(self.faults.dup_notify)),
-                ]),
-            ),
-            (
-                "chaos_plan",
-                Json::obj([
-                    ("reorder", Json::Num(self.chaos.reorder)),
-                    (
-                        "window",
-                        self.chaos.window.map_or(Json::Null, |(lo, hi)| {
-                            Json::Arr(vec![Json::U64(lo), Json::U64(hi)])
-                        }),
-                    ),
-                ]),
-            ),
+            ("spec", self.spec.to_canonical_json()),
         ])
     }
 
@@ -144,12 +89,11 @@ impl Repro {
         if schema != REPRO_SCHEMA {
             return Err(format!("unsupported schema `{schema}`"));
         }
-        let workload = field("workload")?
-            .as_str()
-            .ok_or("workload must be a string")?
-            .to_string();
-        let frames = field("frames")?.as_u64().ok_or("frames must be a u64")? as usize;
         let seed = field("seed")?.as_u64().ok_or("seed must be a u64")?;
+        let spec = ScenarioSpec::from_json(field("spec")?)?;
+        if spec.seed != seed {
+            return Err(format!("seed {seed} differs from spec.seed {}", spec.seed));
+        }
         let failure = field("failure")?;
         let kind = failure
             .get("kind")
@@ -161,45 +105,8 @@ impl Repro {
             .and_then(Json::as_str)
             .unwrap_or_default()
             .to_string();
-
-        let fp = field("fault_plan")?;
-        let num = |j: &Json, key: &str| {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing numeric `{key}`"))
-        };
-        let mut faults = FaultPlan::none();
-        let (wcet_p, wcet_s) = (num(fp, "wcet_probability")?, num(fp, "wcet_max_stretch")?);
-        if wcet_p > 0.0 {
-            faults = faults.with_wcet_jitter(wcet_p, wcet_s);
-        }
-        let drop = num(fp, "drop_notify")?;
-        if drop > 0.0 {
-            faults = faults.with_drop_notify(drop);
-        }
-        let dup = num(fp, "dup_notify")?;
-        if dup > 0.0 {
-            faults = faults.with_dup_notify(dup);
-        }
-
-        let cp = field("chaos_plan")?;
-        let mut chaos = ChaosPlan::none().with_reorder(num(cp, "reorder")?);
-        if let Some(w) = cp.get("window").filter(|w| **w != Json::Null) {
-            let arr = w.as_array().ok_or("window must be [lo, hi] or null")?;
-            let lo = arr.first().and_then(Json::as_u64).ok_or("window[0]")?;
-            let hi = arr.get(1).and_then(Json::as_u64).ok_or("window[1]")?;
-            chaos = chaos.with_window(lo, hi);
-        }
-
-        if self::workload(&workload, frames).is_none() {
-            return Err(format!("unknown workload `{workload}`"));
-        }
         Ok(Repro {
-            workload,
-            frames,
-            seed,
-            faults,
-            chaos,
+            spec,
             kind,
             message,
         })

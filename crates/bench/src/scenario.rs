@@ -32,7 +32,7 @@ use crate::json::Json;
 
 /// Schema identifier of the canonical [`ScenarioSpec`] JSON serialization
 /// produced by [`ScenarioSpec::to_canonical_json`].
-pub const SPEC_SCHEMA: &str = "rtos-sld-spec/1";
+pub const SPEC_SCHEMA: &str = "rtos-sld-spec/2";
 
 /// Which model/workload a scenario executes.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,10 +105,8 @@ pub struct ScenarioSpec {
     /// Fault plan template; re-keyed with [`ScenarioSpec::seed`] at run
     /// time so every point draws an independent fault stream.
     pub faults: FaultPlan,
-    /// Schedule-perturbation chaos plan template; re-keyed with
-    /// [`ScenarioSpec::seed`] at run time like `faults`.
-    /// [`ChaosPlan::none`] (the default) leaves runs byte-identical to
-    /// unperturbed ones.
+    /// The kernel's same-delta dispatch schedule. [`ChaosPlan::none`]
+    /// (the default) leaves runs byte-identical to runs with no plan.
     pub chaos: ChaosPlan,
     /// Arm the kernel invariant oracle ([`KernelInvariants::all`]) plus
     /// the RTOS scheduler-conformance checks on workloads that schedule.
@@ -184,7 +182,7 @@ impl ScenarioSpec {
         self
     }
 
-    /// Installs a chaos-plan template (re-keyed per point seed).
+    /// Installs a same-delta dispatch schedule.
     #[must_use]
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = plan;
@@ -240,8 +238,18 @@ impl ScenarioSpec {
     /// [`RunError`]s are folded into [`ScenarioOutcome::status`].
     #[must_use]
     pub fn run(&self) -> ScenarioOutcome {
+        self.run_with_choices().0
+    }
+
+    /// [`run`](Self::run), plus the kernel's choice-point log
+    /// ([`Report::chaos`]): empty unless [`chaos`](Self::chaos) is armed,
+    /// and `None` when the run ended in a model-level error, which leaves
+    /// no report (or on a workload that does not install the plan:
+    /// Figure 3 and the ISS).
+    #[must_use]
+    pub fn run_with_choices(&self) -> (ScenarioOutcome, Option<Vec<ChoicePoint>>) {
         let started = std::time::Instant::now();
-        let mut outcome = match &self.workload {
+        let (mut outcome, choices) = match &self.workload {
             Workload::VocoderUnscheduled => self.run_vocoder(false),
             Workload::VocoderArchitecture => self.run_vocoder(true),
             Workload::VocoderImpl => self.run_vocoder_impl(),
@@ -273,7 +281,7 @@ impl ScenarioSpec {
             Workload::MissPolicyOverrun { policy } => self.run_miss_policy(*policy),
         };
         outcome.host_time = started.elapsed();
-        outcome
+        (outcome, choices)
     }
 
     fn vocoder_config(&self) -> VocoderConfig {
@@ -283,7 +291,7 @@ impl ScenarioSpec {
             seed: self.speech_seed,
             timing: base.timing.scaled(self.timing_scale),
             faults: self.faults.clone().reseed(self.seed),
-            chaos: self.chaos.clone().reseed(self.seed),
+            chaos: self.chaos.clone(),
             oracle: self.oracle,
             watchdog: self.watchdog,
             trace: self.trace,
@@ -291,7 +299,7 @@ impl ScenarioSpec {
         }
     }
 
-    fn run_vocoder(&self, architecture: bool) -> ScenarioOutcome {
+    fn run_vocoder(&self, architecture: bool) -> Logged {
         let cfg = self.vocoder_config();
         let offered_util = cfg.timing.utilization(FRAME_PERIOD);
         let result = if architecture {
@@ -331,13 +339,13 @@ impl ScenarioSpec {
                 }
                 o.kernel_stats = Some(run.kernel_stats.clone());
                 o.records = run.records;
-                o
+                (o, Some(run.choices))
             }
-            Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
+            Err(e) => failed(&e),
         }
     }
 
-    fn run_vocoder_split(&self, split: &SplitConfig) -> ScenarioOutcome {
+    fn run_vocoder_split(&self, split: &SplitConfig) -> Logged {
         let cfg = self.vocoder_config();
         let offered_util = cfg.timing.utilization(FRAME_PERIOD);
         match simulate_split(&cfg, split, self.sched, self.slice) {
@@ -410,13 +418,13 @@ impl ScenarioSpec {
                     .collect();
                 o.kernel_stats = Some(base.kernel_stats.clone());
                 o.records = base.records.clone();
-                o
+                (o, Some(base.choices.clone()))
             }
-            Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
+            Err(e) => failed(&e),
         }
     }
 
-    fn run_vocoder_impl(&self) -> ScenarioOutcome {
+    fn run_vocoder_impl(&self) -> Logged {
         let cfg = ImplConfig {
             frames: u32::try_from(self.frames).unwrap_or(u32::MAX),
             ..ImplConfig::default()
@@ -433,15 +441,15 @@ impl ScenarioSpec {
                 run.mean_transcode_delay().as_secs_f64() * 1e3,
             );
         }
-        o
+        (o, None)
     }
 
-    fn run_task_set(&self, n: usize, utilization: f64, horizon_us: u64) -> ScenarioOutcome {
+    fn run_task_set(&self, n: usize, utilization: f64, horizon_us: u64) -> Logged {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let tasks = uunifast_task_set(&mut rng, n, utilization);
         let mut builder = Simulation::builder()
             .fault_plan(self.faults.clone().reseed(self.seed))
-            .chaos_plan(self.chaos.clone().reseed(self.seed));
+            .chaos_plan(self.chaos.clone());
         if self.oracle {
             builder = builder.invariants(KernelInvariants::all());
         }
@@ -500,13 +508,13 @@ impl ScenarioSpec {
                 if let Some(t) = &trace {
                     o.records = t.snapshot();
                 }
-                o
+                (o, Some(report.chaos))
             }
-            Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
+            Err(e) => failed(&e),
         }
     }
 
-    fn run_figure3(&self) -> ScenarioOutcome {
+    fn run_figure3(&self) -> Logged {
         let delays = Figure3Delays::default();
         let spec = figure3_spec(&delays);
         let irq_at = SimTime::ZERO + delays.b1 + delays.interrupt_at;
@@ -537,17 +545,17 @@ impl ScenarioSpec {
                 if self.trace {
                     o.records = run.records;
                 }
-                o
+                (o, None)
             }
-            Err(RunModelError::Sim(e)) => ScenarioOutcome::failed(describe_run_error(&e)),
-            Err(e) => ScenarioOutcome::failed(e.to_string()),
+            Err(RunModelError::Sim(e)) => failed(&e),
+            Err(e) => (ScenarioOutcome::failed(e.to_string()), None),
         }
     }
 
-    fn run_miss_policy(&self, policy: MissPolicy) -> ScenarioOutcome {
+    fn run_miss_policy(&self, policy: MissPolicy) -> Logged {
         let mut builder = Simulation::builder()
             .fault_plan(self.faults.clone().reseed(self.seed))
-            .chaos_plan(self.chaos.clone().reseed(self.seed));
+            .chaos_plan(self.chaos.clone());
         if self.oracle {
             builder = builder.invariants(KernelInvariants::all());
         }
@@ -598,9 +606,9 @@ impl ScenarioSpec {
                 if let Some(t) = &trace {
                     o.records = t.snapshot();
                 }
-                o
+                (o, Some(report.chaos))
             }
-            Err(e) => ScenarioOutcome::failed(describe_run_error(&e)),
+            Err(e) => failed(&e),
         }
     }
 
@@ -670,6 +678,15 @@ impl ScenarioSpec {
         spec.trace = bool_field(doc, "trace")?;
         Ok(spec)
     }
+}
+
+/// An outcome and the run's choice-point log (see
+/// [`ScenarioSpec::run_with_choices`]).
+type Logged = (ScenarioOutcome, Option<Vec<ChoicePoint>>);
+
+/// The outcome of a run that ended in `e`; it leaves no choice-point log.
+fn failed(e: &RunError) -> Logged {
+    (ScenarioOutcome::failed(describe_run_error(e)), None)
 }
 
 /// Duration → integer nanoseconds (saturating; no spec uses 584-year
@@ -908,36 +925,38 @@ fn faults_from_json(j: &Json) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
+/// `null` for the unarmed plan, else the picks as `[choice, position]`
+/// pairs.
 fn chaos_to_json(p: &ChaosPlan) -> Json {
-    Json::obj([
-        ("seed", Json::U64(p.seed())),
-        ("reorder", Json::Num(p.reorder)),
-        (
-            "window",
-            p.window.map_or(Json::Null, |(lo, hi)| {
-                Json::Arr(vec![Json::U64(lo), Json::U64(hi)])
-            }),
-        ),
-    ])
+    if !p.is_armed() {
+        return Json::Null;
+    }
+    Json::Arr(
+        p.picks()
+            .iter()
+            .map(|p| Json::Arr(vec![Json::U64(p.choice), Json::U64(u64::from(p.position))]))
+            .collect(),
+    )
 }
 
 fn chaos_from_json(j: &Json) -> Result<ChaosPlan, String> {
-    let mut plan = ChaosPlan::seeded(u64_field(j, "seed")?).with_reorder(f64_field(j, "reorder")?);
-    match field(j, "window")? {
-        Json::Null => {}
-        w => {
-            let bounds = w.as_array().ok_or("spec: `window` must be an array")?;
-            let (lo, hi) = match bounds {
-                [lo, hi] => (lo.as_u64(), hi.as_u64()),
-                _ => (None, None),
-            };
-            match (lo, hi) {
-                (Some(lo), Some(hi)) => plan = plan.with_window(lo, hi),
-                _ => return Err("spec: `window` must be [lo, hi]".into()),
-            }
-        }
-    }
-    Ok(plan)
+    let Json::Arr(picks) = j else {
+        return match j {
+            Json::Null => Ok(ChaosPlan::none()),
+            _ => Err("spec: `chaos` must be null or an array".into()),
+        };
+    };
+    let picks = picks.iter().map(|p| match p.as_array()? {
+        [choice, position] => Some(Pick {
+            choice: choice.as_u64()?,
+            position: u32::try_from(position.as_u64()?).ok()?,
+        }),
+        _ => None,
+    });
+    picks
+        .collect::<Option<Vec<_>>>()
+        .map(ChaosPlan::schedule)
+        .ok_or_else(|| "spec: each `chaos` pick must be [choice, position]".into())
 }
 
 fn watchdog_to_json(w: &WatchdogSpec) -> Json {
@@ -1371,7 +1390,16 @@ mod tests {
                     .with_dup_notify(0.02)
                     .with_spurious(EventId::from_index(3), 0.05),
             )
-            .chaos(ChaosPlan::seeded(9).with_reorder(0.1).with_window(5, 500))
+            .chaos(ChaosPlan::schedule([
+                Pick {
+                    choice: 1,
+                    position: 2,
+                },
+                Pick {
+                    choice: 4,
+                    position: 1,
+                },
+            ]))
             .oracle(true)
             .watchdog(WatchdogSpec {
                 timeout: Duration::from_millis(60),
@@ -1413,6 +1441,12 @@ mod tests {
             let rendered = spec.to_canonical_json().render();
             let back = ScenarioSpec::from_json(&Json::parse(&rendered).unwrap()).unwrap();
             assert_eq!(back.to_canonical_json().render(), rendered);
+        }
+        // The unarmed plan and the armed FIFO schedule stay apart.
+        for chaos in [ChaosPlan::none(), ChaosPlan::schedule([])] {
+            let spec = maximal_spec().chaos(chaos.clone());
+            let back = ScenarioSpec::from_json(&spec.to_canonical_json()).unwrap();
+            assert_eq!(back.chaos, chaos);
         }
     }
 

@@ -57,6 +57,24 @@ fn hit_miss_and_invalidation_matrix() {
         "timing_scale must key entries"
     );
 
+    // Another point runner's entries are keyed apart, both ways.
+    let other = ScenarioCache::open(&dir)
+        .expect("cache opens")
+        .for_runner("enumerate");
+    assert!(
+        other.lookup_spec(&base, 7).is_none(),
+        "a plain run must not answer another runner"
+    );
+    other.insert_spec(&base, 7, &ScenarioOutcome::completed([("schedules", 6.0)]));
+    let plain = cache.lookup_spec(&base, 7).expect("plain entry still hits");
+    assert_eq!(plain.to_json().render(), outcome.to_json().render());
+    assert_eq!(
+        other
+            .lookup_spec(&base, 7)
+            .and_then(|o| o.metric("schedules")),
+        Some(6.0)
+    );
+
     // Build-salt bump (kernel schema revision / crate version): the old
     // entry self-invalidates.
     cache.set_salt("some-future-build");

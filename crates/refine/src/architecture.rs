@@ -95,7 +95,7 @@ pub fn run_architecture(
     slice: TimeSlice,
     cfg: &RunConfig,
 ) -> Result<ModelRun, RunModelError> {
-    run_architecture_inner(spec, alg, slice, std::time::Duration::ZERO, cfg, None)
+    run_architecture_inner(spec, alg, slice, cfg, None)
 }
 
 /// [`run_architecture`] with an explicit communication architecture:
@@ -116,25 +116,13 @@ pub fn run_architecture_with_comm(
     cfg: &RunConfig,
     map: &BusMap,
 ) -> Result<ModelRun, RunModelError> {
-    run_architecture_inner(spec, alg, slice, std::time::Duration::ZERO, cfg, Some(map))
-}
-
-/// [`run_architecture`] with a modeled kernel cost per context switch
-/// (used by the exploration driver).
-pub(crate) fn run_architecture_configured(
-    spec: &SystemSpec,
-    alg: SchedAlg,
-    slice: TimeSlice,
-    switch_cost: std::time::Duration,
-) -> Result<ModelRun, RunModelError> {
-    run_architecture_inner(spec, alg, slice, switch_cost, &RunConfig::default(), None)
+    run_architecture_inner(spec, alg, slice, cfg, Some(map))
 }
 
 fn run_architecture_inner(
     spec: &SystemSpec,
     alg: SchedAlg,
     slice: TimeSlice,
-    switch_cost: std::time::Duration,
     cfg: &RunConfig,
     map: Option<&BusMap>,
 ) -> Result<ModelRun, RunModelError> {
@@ -151,7 +139,6 @@ fn run_architecture_inner(
             let os = Rtos::new(pe.name.clone(), layer.clone());
             os.start(alg);
             os.set_time_slice(slice);
-            os.set_context_switch_cost(switch_cost);
             os.attach_trace(trace.clone());
             os
         })

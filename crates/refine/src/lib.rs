@@ -39,7 +39,6 @@ mod architecture;
 pub mod check;
 pub mod comm;
 mod cross;
-pub mod explore;
 mod figure3;
 mod run;
 mod spec;
@@ -49,7 +48,6 @@ pub use architecture::{run_architecture, run_architecture_with_comm};
 pub use check::{check, Constraint, Violation};
 pub use comm::{BusBinding, BusChannel, BusMap, SharedBus};
 pub use cross::{CrossFairness, CrossRendezvous};
-pub use explore::{explore, Candidate, Evaluation};
 pub use figure3::{figure3_spec, Figure3Delays};
 pub use run::{ChannelFairness, ModelRun, PeMetrics, RunConfig, RunModelError};
 pub use spec::{

@@ -56,6 +56,32 @@ fn sliced_candidate_meets_the_interrupt_budget() {
 }
 
 #[test]
+fn only_fine_preemptive_slices_meet_a_60us_budget() {
+    // The interrupt arrives at 800 µs, inside B2's d6 (from 750 µs): 25 µs
+    // preemptive slices dispatch B3's d3 at the 800 µs boundary, while
+    // FIFO never preempts d6 at any slice length.
+    let spec = figure3_spec(&Figure3Delays::default());
+    let budget = Constraint::ResponseWithin {
+        marker_track: "bus_irq".into(),
+        track: "task_b3".into(),
+        label: "d3".into(),
+        max: us(60),
+    };
+    let violations = |alg| {
+        let run = run_architecture(
+            &spec,
+            alg,
+            TimeSlice::Quantum(us(25)),
+            &RunConfig::default(),
+        )
+        .unwrap();
+        check(&run, std::slice::from_ref(&budget))
+    };
+    assert!(violations(SchedAlg::PriorityPreemptive).is_empty());
+    assert_eq!(violations(SchedAlg::Fifo).len(), 1);
+}
+
+#[test]
 fn no_overlap_rejects_the_unscheduled_model_and_accepts_the_refined_one() {
     let spec = figure3_spec(&Figure3Delays::default());
     let c = Constraint::NoOverlap {

@@ -1,28 +1,28 @@
-//! Deterministic, seeded schedule perturbation and the kernel invariant
-//! oracle.
+//! Explicit same-delta dispatch schedules, their enumeration, and the
+//! kernel invariant oracle.
 //!
 //! The [`FaultPlan`](crate::FaultPlan) layer injects *model-level*
-//! anomalies (lost interrupts, WCET overruns). A [`ChaosPlan`] attacks one
-//! layer below: it perturbs a decision of the *kernel itself* — which
-//! runnable process of a delta cycle is dispatched first — so the
-//! scheduler and delta-stamp machinery gets exercised under interleavings
-//! the default FIFO order never produces. Perturbations never change the
-//! *set* of work performed, only its order within a delta, so a chaotic
-//! run is still a pure function of *(model, plans, seeds)* and replays
-//! exactly.
+//! anomalies (lost interrupts, WCET overruns). A [`ChaosPlan`] acts one
+//! layer below, on a decision the SLDL leaves unspecified: which runnable
+//! process of a delta cycle is dispatched first. A **choice point** is a
+//! dispatch decision with two or more processes ready. A plan is a sparse
+//! list of [`Pick`]s — at choice point *i*, dispatch ready-queue position
+//! *p* — and every choice point it does not list takes the head of the
+//! queue, as the unarmed kernel does. A run under a plan is still a pure
+//! function of *(model, plans, seeds)* and replays exactly.
 //!
-//! The one chaos knob is **dispatch reorder**: with probability
-//! [`ChaosPlan::reorder`], the next runnable process is drawn from
-//! anywhere in the ready queue instead of its head. The draws come from a
-//! [`SmallRng`] stream forked from the plan seed, and can be restricted to
-//! a window of kernel dispatch decisions ([`ChaosPlan::with_window`]) —
-//! the lever the repro shrinker in `bench --bin chaos` uses to narrow a
-//! failure.
+//! An armed run logs every choice point it met in
+//! [`Report::chaos`](crate::Report::chaos). That log is all [`explore`]
+//! needs to enumerate the schedules of a model by replay (stateless
+//! model checking): it runs every schedule once, in rounds of 0, 1, 2, …
+//! non-FIFO picks, so the first failing schedule it meets has the fewest
+//! non-FIFO picks and needs no shrinking.
 //!
-//! **Invariant:** an empty plan ([`ChaosPlan::none`], or any plan whose
-//! rates are all zero) is not armed by the kernel at all and leaves the
-//! simulation byte-identical to one with no plan installed — the same
-//! structural guarantee [`FaultPlan`](crate::FaultPlan) gives.
+//! **Invariant:** [`ChaosPlan::none`] is not armed by the kernel at all
+//! and leaves the simulation byte-identical to one with no plan
+//! installed — the same structural guarantee
+//! [`FaultPlan`](crate::FaultPlan) gives. An armed schedule with no
+//! picks dispatches exactly as the unarmed kernel does; it only logs.
 //!
 //! ## The invariant oracle
 //!
@@ -36,149 +36,188 @@
 //! `None`.
 
 use crate::ids::ProcessId;
-use crate::rng::SmallRng;
 use crate::time::SimTime;
 
-/// A seeded description of kernel-level schedule perturbations.
+/// One non-FIFO pick of a [`ChaosPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Pick {
+    /// Index of the choice point (0-based, counting only dispatch
+    /// decisions with two or more processes ready).
+    pub choice: u64,
+    /// Ready-queue position dispatched there (≥ 1; position 0 is the
+    /// head, which every unlisted choice point takes).
+    pub position: u32,
+}
+
+/// A same-delta dispatch schedule for the kernel.
 ///
 /// Install on a simulation with
 /// [`SimulationBuilder::chaos_plan`](crate::SimulationBuilder::chaos_plan);
-/// perturbations performed during the run are logged in
+/// an armed plan logs every choice point in
 /// [`Report::chaos`](crate::Report::chaos).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosPlan {
-    seed: u64,
-    /// Per-dispatch probability that the next runnable process is drawn
-    /// from a random ready-queue position instead of the head.
-    pub reorder: f64,
-    /// Half-open window `[lo, hi)` of kernel dispatch decisions inside
-    /// which perturbations may fire; `None` means the whole run.
-    pub window: Option<(u64, u64)>,
+    /// `None` when unarmed; otherwise the non-FIFO picks, sorted by
+    /// choice point, one per choice point, positions ≥ 1.
+    picks: Option<Vec<Pick>>,
 }
 
 impl ChaosPlan {
-    /// The empty plan: perturbs nothing. Installing it is byte-identical
-    /// to installing no plan at all.
+    /// The unarmed plan. Installing it is byte-identical to installing
+    /// no plan at all.
     #[must_use]
     pub fn none() -> Self {
-        ChaosPlan::seeded(0)
+        ChaosPlan { picks: None }
     }
 
-    /// An empty plan carrying `seed`; chain builder calls to enable
-    /// perturbation categories.
+    /// An armed schedule making `picks`; every other choice point takes
+    /// the head. The picks are put in choice-point order; a pick at
+    /// position 0 is dropped (it is the default), and a choice point
+    /// listed twice keeps its first pick. A position past the end of the
+    /// ready queue dispatches its tail.
     #[must_use]
-    pub fn seeded(seed: u64) -> Self {
-        ChaosPlan {
-            seed,
-            reorder: 0.0,
-            window: None,
-        }
+    pub fn schedule(picks: impl IntoIterator<Item = Pick>) -> Self {
+        let mut picks: Vec<Pick> = picks.into_iter().filter(|p| p.position > 0).collect();
+        picks.sort_by_key(|p| p.choice);
+        picks.dedup_by_key(|p| p.choice);
+        ChaosPlan { picks: Some(picks) }
     }
 
-    /// Enables dispatch reordering with the given per-dispatch
-    /// probability.
+    /// Whether the kernel arms this plan (every plan but
+    /// [`none`](Self::none)).
     #[must_use]
-    pub fn with_reorder(mut self, probability: f64) -> Self {
-        self.reorder = probability;
-        self
+    pub fn is_armed(&self) -> bool {
+        self.picks.is_some()
     }
 
-    /// Restricts perturbations to the half-open dispatch-decision window
-    /// `[lo, hi)`.
+    /// The schedule's non-FIFO picks in choice-point order (empty for
+    /// the unarmed plan).
     #[must_use]
-    pub fn with_window(mut self, lo: u64, hi: u64) -> Self {
-        self.window = Some((lo, hi));
-        self
-    }
-
-    /// The plan seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Returns the same plan (rates and window kept) re-keyed to `seed`.
-    /// Sweep harnesses use this to give every sweep point an independent,
-    /// reproducible perturbation stream derived from a base seed.
-    #[must_use]
-    pub fn reseed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Whether this plan can never perturb anything. Empty plans are not
-    /// armed by the kernel at all, guaranteeing the zero-perturbation
-    /// invariant structurally.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        let windowed_out = self.window.is_some_and(|(lo, hi)| hi <= lo);
-        self.reorder <= 0.0 || windowed_out
+    pub fn picks(&self) -> &[Pick] {
+        self.picks.as_deref().unwrap_or_default()
     }
 }
 
-/// One schedule perturbation actually injected during a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum InjectedChaos {
-    /// A dispatch decision pulled a process from inside the ready queue
-    /// instead of its head.
-    ReorderedDispatch {
-        /// Index of the kernel dispatch decision (0-based, monotonic).
-        decision: u64,
-        /// Ready-queue position the process was pulled from.
-        position: u64,
-        /// The process dispatched out of order.
-        process: ProcessId,
-    },
-}
-
-/// A time-stamped [`InjectedChaos`], as logged in
+/// One choice point of an armed run, as logged in
 /// [`Report::chaos`](crate::Report::chaos).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosRecord {
-    /// Simulated time of the perturbation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChoicePoint {
+    /// Simulated time of the dispatch decision.
     pub at: SimTime,
-    /// What was perturbed.
-    pub chaos: InjectedChaos,
+    /// Processes ready at the decision (≥ 2).
+    pub ready: u32,
+    /// Ready-queue position dispatched (0 = head).
+    pub position: u32,
+    /// The process dispatched.
+    pub process: ProcessId,
 }
 
-/// Armed perturbation state held by the kernel (crate internal).
+/// Armed schedule state held by the kernel (crate internal).
 #[derive(Debug)]
 pub(crate) struct ChaosState {
-    plan: ChaosPlan,
-    rng_reorder: SmallRng,
-    /// Kernel dispatch decisions taken so far (the window clock).
-    decisions: u64,
-    pub(crate) log: Vec<ChaosRecord>,
+    picks: Vec<Pick>,
+    /// Index into `picks` of the next pick not yet made.
+    next: usize,
+    pub(crate) log: Vec<ChoicePoint>,
 }
 
 impl ChaosState {
-    pub(crate) fn new(plan: ChaosPlan) -> Self {
-        let root = SmallRng::seed_from_u64(plan.seed);
-        ChaosState {
-            rng_reorder: root.fork(1),
-            plan,
-            decisions: 0,
+    /// The kernel state for `plan`, or `None` if the plan is unarmed.
+    pub(crate) fn arm(plan: ChaosPlan) -> Option<Self> {
+        plan.picks.map(|picks| ChaosState {
+            picks,
+            next: 0,
             log: Vec::new(),
-        }
+        })
     }
 
-    /// Decides the perturbation for one dispatch of a ready queue of
-    /// `len` processes: the queue index to pull from (`None` = head).
-    /// Advances the decision clock.
-    pub(crate) fn decide(&mut self, len: usize) -> Option<usize> {
-        let d = self.decisions;
-        self.decisions += 1;
-        if !self.plan.window.is_none_or(|(lo, hi)| d >= lo && d < hi) {
-            return None;
+    /// The ready-queue position to dispatch at the next choice point
+    /// (0 = head). The choice-point index is the length of the log, which
+    /// gains one entry per choice point.
+    pub(crate) fn position(&mut self) -> usize {
+        let choice = self.log.len() as u64;
+        match self.picks.get(self.next) {
+            Some(p) if p.choice == choice => {
+                self.next += 1;
+                p.position as usize
+            }
+            _ => 0,
         }
-        (len >= 2 && self.plan.reorder > 0.0 && self.rng_reorder.gen_bool(self.plan.reorder))
-            .then(|| self.rng_reorder.gen_range_usize(len))
     }
+}
 
-    /// The decision index of the perturbation just decided (for logging).
-    pub(crate) fn last_decision(&self) -> u64 {
-        self.decisions - 1
+/// What [`explore`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Exploration<F> {
+    /// Schedules run, the failing one included.
+    pub schedules: u64,
+    /// Whether every schedule was run: no failure stopped the
+    /// enumeration, no schedule needed more than the cap's non-FIFO
+    /// picks, and every run returned its choice-point log.
+    pub complete: bool,
+    /// The first failing schedule and its failure. No failing schedule
+    /// has fewer non-FIFO picks.
+    pub failure: Option<(ChaosPlan, F)>,
+}
+
+/// Enumerates the same-delta dispatch schedules of a model by replay.
+///
+/// `run` executes the model once under the given plan and returns its
+/// choice-point log ([`Report::chaos`](crate::Report::chaos)), `None` if
+/// the run ended without one (a model-level error), or `Err` if the run
+/// failed. Round *k* runs every schedule with *k* non-FIFO picks, for
+/// *k* = 0, 1, …, `cap`; a schedule's extensions pick at choice points
+/// after its last pick, so each schedule is run exactly once. The
+/// enumeration stops at the first failure.
+pub fn explore<F>(
+    cap: usize,
+    mut run: impl FnMut(&ChaosPlan) -> Result<Option<Vec<ChoicePoint>>, F>,
+) -> Exploration<F> {
+    let mut schedules = 0;
+    let mut complete = true;
+    let mut round = vec![Vec::new()];
+    for depth in 0..=cap {
+        let mut next = Vec::new();
+        for picks in round {
+            let plan = ChaosPlan { picks: Some(picks) };
+            schedules += 1;
+            let log = match run(&plan) {
+                Err(failure) => {
+                    return Exploration {
+                        schedules,
+                        complete: false,
+                        failure: Some((plan, failure)),
+                    }
+                }
+                Ok(None) => {
+                    complete = false;
+                    continue;
+                }
+                Ok(Some(log)) => log,
+            };
+            let picks = plan.picks();
+            let first = picks.last().map_or(0, |p| p.choice + 1);
+            if log.len() as u64 <= first {
+                continue;
+            }
+            if depth == cap {
+                complete = false;
+                continue;
+            }
+            for (choice, point) in (first..).zip(&log[first as usize..]) {
+                for position in 1..point.ready {
+                    let mut child = picks.to_vec();
+                    child.push(Pick { choice, position });
+                    next.push(child);
+                }
+            }
+        }
+        round = next;
+    }
+    Exploration {
+        schedules,
+        complete,
+        failure: None,
     }
 }
 
@@ -254,49 +293,84 @@ impl OracleState {
 mod tests {
     use super::*;
 
-    #[test]
-    fn none_is_empty() {
-        assert!(ChaosPlan::none().is_empty());
-        assert!(ChaosPlan::seeded(1).is_empty());
-        assert!(ChaosPlan::seeded(1).with_reorder(0.0).is_empty());
-        assert!(!ChaosPlan::seeded(1).with_reorder(0.5).is_empty());
-        // A collapsed window makes any plan inert.
-        assert!(ChaosPlan::seeded(1)
-            .with_reorder(1.0)
-            .with_window(5, 5)
-            .is_empty());
+    fn pick(choice: u64, position: u32) -> Pick {
+        Pick { choice, position }
+    }
+
+    /// A stand-in model whose choice points have the given ready-queue
+    /// lengths whatever the picks.
+    fn fixed(lens: &[u32]) -> Vec<ChoicePoint> {
+        lens.iter()
+            .map(|&ready| ChoicePoint {
+                at: SimTime::ZERO,
+                ready,
+                position: 0,
+                process: ProcessId(0),
+            })
+            .collect()
     }
 
     #[test]
-    fn decisions_are_deterministic_per_seed() {
-        let plan = ChaosPlan::seeded(11).with_reorder(0.8);
-        let mut a = ChaosState::new(plan.clone());
-        let mut b = ChaosState::new(plan);
-        for len in [1usize, 2, 5, 3, 8, 1, 4] {
-            assert_eq!(a.decide(len), b.decide(len));
+    fn none_is_unarmed_and_schedules_are_normalised() {
+        assert!(!ChaosPlan::none().is_armed());
+        assert!(ChaosPlan::none().picks().is_empty());
+        let fifo = ChaosPlan::schedule([]);
+        assert!(fifo.is_armed() && fifo.picks().is_empty());
+        let plan = ChaosPlan::schedule([pick(4, 1), pick(2, 0), pick(1, 2), pick(4, 3)]);
+        assert_eq!(plan.picks(), [pick(1, 2), pick(4, 1)]);
+    }
+
+    #[test]
+    fn state_makes_each_pick_at_its_choice_point() {
+        let mut st = ChaosState::arm(ChaosPlan::schedule([pick(1, 2), pick(3, 1)])).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..5 {
+            let position = st.position();
+            got.push(position);
+            st.log.push(fixed(&[3])[0]);
         }
+        assert_eq!(got, [0, 2, 0, 1, 0]);
+        assert!(ChaosState::arm(ChaosPlan::none()).is_none());
     }
 
     #[test]
-    fn reorder_index_is_in_bounds_and_window_gates() {
-        let plan = ChaosPlan::seeded(3).with_reorder(1.0).with_window(2, 4);
-        let mut st = ChaosState::new(plan);
-        for d in 0..8u64 {
-            let pick = st.decide(6);
-            let in_window = (2..4).contains(&d);
-            assert_eq!(pick.is_some(), in_window, "decision {d}");
-            if let Some(j) = pick {
-                assert!(j < 6);
+    fn explore_runs_every_schedule_once() {
+        let mut seen = Vec::new();
+        let e = explore(8, |plan| -> Result<_, ()> {
+            seen.push(plan.picks().to_vec());
+            Ok(Some(fixed(&[2, 3])))
+        });
+        // 2 × 3 orders of two independent choice points.
+        assert_eq!((e.schedules, e.complete, e.failure), (6, true, None));
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), 6);
+        assert!(seen.windows(2).all(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn explore_stops_at_the_cap_and_reports_incomplete() {
+        let e = explore(1, |_| -> Result<_, ()> { Ok(Some(fixed(&[2, 3]))) });
+        // Round 0: one schedule; round 1: 1 + 2 single picks.
+        assert_eq!((e.schedules, e.complete), (4, false));
+        let e = explore(8, |_| -> Result<_, ()> { Ok(None) });
+        assert_eq!((e.schedules, e.complete), (1, false));
+    }
+
+    #[test]
+    fn explore_returns_a_failure_with_the_fewest_picks() {
+        let e = explore(8, |plan| {
+            let picks = plan.picks();
+            if picks.contains(&pick(2, 1)) {
+                Err(picks.len())
+            } else {
+                Ok(Some(fixed(&[2, 2, 2])))
             }
-        }
-    }
-
-    #[test]
-    fn singleton_queue_is_never_reordered() {
-        let mut st = ChaosState::new(ChaosPlan::seeded(5).with_reorder(1.0));
-        for _ in 0..16 {
-            assert_eq!(st.decide(1), None);
-        }
+        });
+        let (plan, picked) = e.failure.expect("a failing schedule exists");
+        assert_eq!(plan.picks(), [pick(2, 1)]);
+        assert_eq!(picked, 1);
+        assert!(!e.complete);
     }
 
     #[test]

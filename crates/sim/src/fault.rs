@@ -25,9 +25,9 @@
 //! scheduling state. `crates/sim/tests/fault_prop.rs` pins this down.
 //!
 //! Faults perturb the *model* (what the simulated system observes). The
-//! companion [`ChaosPlan`](crate::ChaosPlan) in [`crate::chaos`] perturbs
-//! the *kernel* (which runnable process is dispatched first); the two
-//! compose freely and draw from independent seeded streams.
+//! companion [`ChaosPlan`](crate::ChaosPlan) in [`crate::chaos`] sets
+//! the *kernel's* choices (which runnable process is dispatched first);
+//! the two compose freely, and a chaos plan draws no randomness.
 //!
 //! [`ProcCtx::perturb_delay`]: crate::ProcCtx::perturb_delay
 //! [`ProcCtx::notify`]: crate::ProcCtx::notify

@@ -45,9 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::chaos::{
-    ChaosPlan, ChaosRecord, ChaosState, InjectedChaos, KernelInvariants, OracleState,
-};
+use crate::chaos::{ChaosPlan, ChaosState, ChoicePoint, KernelInvariants, OracleState};
 use crate::coro::{self, Coroutine};
 use crate::error::{AbortReason, ModelError, RunError, WaitEdge};
 use crate::fault::{FaultPlan, FaultRecord, FaultState, NotifyFate};
@@ -123,9 +121,10 @@ pub struct Report {
     /// Faults injected during the run by the installed
     /// [`FaultPlan`](crate::FaultPlan) (empty when no plan was installed).
     pub faults: Vec<FaultRecord>,
-    /// Schedule perturbations injected during the run by the installed
-    /// [`ChaosPlan`](crate::ChaosPlan) (empty when no plan was installed).
-    pub chaos: Vec<ChaosRecord>,
+    /// Every choice point (dispatch decision with two or more processes
+    /// ready) of a run under an armed [`ChaosPlan`](crate::ChaosPlan), in
+    /// order (empty when no plan was armed).
+    pub chaos: Vec<ChoicePoint>,
     /// Kernel self-metrics for the run (always collected; see
     /// [`KernelStats`]).
     pub kernel: KernelStats,
@@ -295,7 +294,7 @@ struct State {
     /// [`FaultPlan`] was installed, which guarantees structurally that an
     /// empty plan perturbs nothing.
     faults: Option<FaultState>,
-    /// Armed schedule-perturbation state; `None` unless a non-empty
+    /// Armed dispatch-schedule state; `None` unless an armed
     /// [`ChaosPlan`] was installed (same structural zero-perturbation
     /// guarantee as `faults`).
     chaos: Option<ChaosState>,
@@ -597,16 +596,25 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
         {
             return Step::Stop;
         }
-        // Chaos hook: an armed plan may pull the next runnable process
-        // from inside the ready queue instead of its head. `st.chaos` is
-        // `None` unless a non-empty plan was installed, so the common path
-        // is exactly the old `pop_front`.
-        let pick = match st.chaos.as_mut() {
-            Some(c) if !st.ready.is_empty() => c.decide(st.ready.len()),
-            _ => None,
-        };
-        let popped = match pick {
-            Some(j) if j > 0 => st.ready.remove(j),
+        // Chaos hook: at a choice point an armed plan picks which ready
+        // process runs, and logs the choice. `st.chaos` is `None` unless
+        // an armed plan was installed, so the unarmed path is one
+        // `Option` test and a `pop_front`.
+        let popped = match st.chaos.as_mut() {
+            Some(c) if st.ready.len() >= 2 => {
+                let ready = st.ready.len();
+                let position = c.position().min(ready - 1);
+                let popped = st.ready.remove(position);
+                if let Some(process) = popped {
+                    c.log.push(ChoicePoint {
+                        at: st.now,
+                        ready: u32::try_from(ready).unwrap_or(u32::MAX),
+                        position: u32::try_from(position).unwrap_or(u32::MAX),
+                        process,
+                    });
+                }
+                popped
+            }
             _ => st.ready.pop_front(),
         };
         if let Some(pid) = popped {
@@ -618,20 +626,6 @@ fn next_step(shared: &Shared, st: &mut State) -> Step {
             }
             st.last_resumed = Some(pid);
             st.record_kernel(CompactKind::ProcessResumed { pid });
-            let now = st.now;
-            if let Some(c) = st.chaos.as_mut() {
-                if let Some(position) = pick.filter(|&j| j > 0) {
-                    let decision = c.last_decision();
-                    c.log.push(ChaosRecord {
-                        at: now,
-                        chaos: InjectedChaos::ReorderedDispatch {
-                            decision,
-                            position: position as u64,
-                            process: pid,
-                        },
-                    });
-                }
-            }
             return Step::Resume(pid);
         }
         if !st.notified.is_empty() {
@@ -900,10 +894,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Installs a seeded [`ChaosPlan`] perturbing kernel scheduling
-    /// decisions. An empty plan ([`ChaosPlan::none`] or all-zero rates)
-    /// is not armed at all, so it is guaranteed byte-identical to no
-    /// perturbation.
+    /// Installs a [`ChaosPlan`] choosing the kernel's same-delta dispatch
+    /// order. [`ChaosPlan::none`] is not armed at all, so it is
+    /// guaranteed byte-identical to installing no plan.
     pub fn chaos_plan(mut self, plan: ChaosPlan) -> Self {
         self.chaos_plan = Some(plan);
         self
@@ -1026,11 +1019,7 @@ impl Simulation {
 
     fn install_chaos_plan(&mut self, plan: ChaosPlan) {
         let mut st = self.shared.state.lock();
-        st.chaos = if plan.is_empty() {
-            None
-        } else {
-            Some(ChaosState::new(plan))
-        };
+        st.chaos = ChaosState::arm(plan);
     }
 
     fn install_invariants(&mut self, checks: KernelInvariants) {
@@ -1593,11 +1582,10 @@ impl ProcCtx {
             match fate {
                 NotifyFate::Drop => {
                     // Test-only injected kernel bug (`chaos-bug` feature,
-                    // armed only when a chaos plan is active): a dropped
+                    // armed only while a chaos plan is armed): a dropped
                     // notification regresses the delta-stamp clock,
                     // silently corrupting the O(1) dedup. `bench --bin
-                    // chaos` must find this via the invariant oracle and
-                    // shrink it to a minimal repro.
+                    // chaos` must find this via the invariant oracle.
                     #[cfg(feature = "chaos-bug")]
                     if st.chaos.is_some() {
                         st.delta_gen = st.delta_gen.saturating_sub(1);

@@ -59,8 +59,8 @@
 //! * [`FaultPlan`] — seeded, deterministic injection of WCET jitter,
 //!   dropped/duplicated notifications and spurious event releases
 //!   (see [`fault`]).
-//! * [`ChaosPlan`] — seeded, deterministic perturbation of *kernel*
-//!   scheduling decisions (same-delta dispatch order) and
+//! * [`ChaosPlan`] — an explicit schedule for the *kernel's* same-delta
+//!   dispatch order, enumerated by [`chaos::explore`], and
 //!   the opt-in [`KernelInvariants`] oracle checking the kernel's own
 //!   consistency at delta-flush and teardown boundaries (see [`chaos`]).
 //! * [`StallPolicy`] / [`RunError::Deadlock`] — wait-for-graph deadlock
@@ -100,7 +100,7 @@ pub const KERNEL_SCHEMA_REV: u32 = 1;
 
 pub use bus::{Arbitration, Bus, BusConfig, BusStats, MasterGrants, MasterId};
 pub use channel::{Handshake, Queue, Semaphore, SldlSync, SyncLayer};
-pub use chaos::{ChaosPlan, ChaosRecord, InjectedChaos, KernelInvariants};
+pub use chaos::{ChaosPlan, ChoicePoint, KernelInvariants, Pick};
 pub use error::{AbortReason, ModelError, RunError, WaitEdge};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, SpuriousRelease, WcetJitter};
 pub use ids::{EventId, ProcessId};

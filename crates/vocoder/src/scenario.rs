@@ -19,8 +19,8 @@ use rtos_model::{
 };
 use sldl_sim::sync::Mutex;
 use sldl_sim::{
-    ChaosPlan, Child, FaultPlan, KernelInvariants, KernelStats, ProcCtx, Queue, Record, RunError,
-    SimTime, Simulation, SyncLayer, TraceConfig, TraceHandle,
+    ChaosPlan, Child, ChoicePoint, FaultPlan, KernelInvariants, KernelStats, ProcCtx, Queue,
+    Record, RunError, SimTime, Simulation, SyncLayer, TraceConfig, TraceHandle,
 };
 
 use crate::codec::{Decoder, EncodedFrame, Encoder};
@@ -62,7 +62,7 @@ pub struct VocoderConfig {
     /// [`VocoderRun::records`]. Off by default — the hot path stays
     /// record-free.
     pub trace: bool,
-    /// Seeded schedule-perturbation plan injected at the kernel level
+    /// Same-delta dispatch schedule for the kernel
     /// ([`ChaosPlan::none`] leaves the run byte-identical to an
     /// uninstrumented one).
     pub chaos: ChaosPlan,
@@ -123,6 +123,10 @@ pub struct VocoderRun {
     pub kernel_stats: KernelStats,
     /// Trace records (empty unless [`VocoderConfig::trace`] was set).
     pub records: Vec<Record>,
+    /// The kernel's choice points (empty unless
+    /// [`VocoderConfig::chaos`] is armed; see
+    /// [`Report::chaos`](sldl_sim::Report::chaos)).
+    pub choices: Vec<ChoicePoint>,
 }
 
 impl VocoderRun {
@@ -264,6 +268,7 @@ pub(crate) fn finish(
         faults_injected: report.faults.len(),
         kernel_stats: report.kernel,
         records: trace.map(|t| t.snapshot()).unwrap_or_default(),
+        choices: report.chaos,
     })
 }
 
